@@ -11,21 +11,45 @@
 //! In the latency-forwarding simulator an entry is simply the completion
 //! cycle of the outstanding fill; entries expire lazily as time advances.
 
-use mda_mem::{Cycle, LineKey};
+use mda_mem::{Cycle, LineKey, Orientation};
 
 /// One outstanding miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    line: LineKey,
+    /// The line, packed by [`pack`].
+    key: u64,
     completes: Cycle,
     is_write: bool,
 }
 
+/// Packs a line as `tile << 4 | orient << 3 | idx`, so two keys differ only
+/// in bit 3 exactly when they are lines of opposite orientation in one tile.
+#[inline]
+fn pack(line: &LineKey) -> u64 {
+    debug_assert!(line.tile < 1 << 60, "tile {} does not fit a packed line key", line.tile);
+    let orient = u64::from(line.orient == Orientation::Col);
+    line.tile << 4 | orient << 3 | u64::from(line.idx)
+}
+
+/// Orientation bit of a packed key (0 = row, 1 = column).
+#[inline]
+fn orient_of(key: u64) -> usize {
+    (key >> 3 & 1) as usize
+}
+
 /// A bounded table of outstanding misses for one cache level.
+///
+/// Entries are kept sorted by completion cycle, so expiry drops a prefix and
+/// the earliest completion is the head. The file holds at most one entry per
+/// line: [`Mshr::complete`] only follows an [`MshrDecision::Allocated`],
+/// which proves the line absent, so lookups need no insertion order.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     entries: Vec<Entry>,
     capacity: usize,
+    /// Entries per orientation, indexed by [`orient_of`]; a zero count
+    /// skips a scan that could not match.
+    per_orient: [usize; 2],
 }
 
 /// What the MSHR decided about a new miss.
@@ -55,7 +79,7 @@ impl Mshr {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Mshr {
         assert!(capacity > 0, "MSHR capacity must be non-zero");
-        Mshr { entries: Vec::with_capacity(capacity), capacity }
+        Mshr { entries: Vec::with_capacity(capacity), capacity, per_orient: [0; 2] }
     }
 
     /// Registers currently outstanding.
@@ -65,7 +89,19 @@ impl Mshr {
 
     /// Drops entries that completed at or before `now`.
     pub fn expire(&mut self, now: Cycle) {
-        self.entries.retain(|e| e.completes > now);
+        let n = self.entries.iter().take_while(|e| e.completes <= now).count();
+        for e in self.entries.drain(..n) {
+            self.per_orient[orient_of(e.key)] -= 1;
+        }
+    }
+
+    /// Completion cycle of the live entry for `key`, if any.
+    #[inline]
+    fn find(&self, key: u64) -> Option<Cycle> {
+        if self.per_orient[orient_of(key)] == 0 {
+            return None;
+        }
+        self.entries.iter().find(|e| e.key == key).map(|e| e.completes)
     }
 
     /// Handles a miss on `line` at `now`.
@@ -74,47 +110,36 @@ impl Mshr {
     /// stall (`ready_at`) and ordering (`issue_at`) constraints. The caller
     /// must later call [`Mshr::complete`] with the fill's completion cycle.
     pub fn on_miss(&mut self, line: LineKey, is_write: bool, now: Cycle) -> MshrDecision {
-        // One order-preserving pass fuses lazy expiry with the coalescing
-        // lookup (2-D miss coalescing — "many misses to the same column are
-        // combined into one column access in the MSHR", paper Sec. VII), the
-        // earliest-completion aggregate and the overlap-ordering scan.
-        // Entries removed by a full file complete at or before `ready_at`,
-        // so including them in `overlap_until` cannot raise `issue_at`.
-        let mut keep = 0;
-        let mut coalesced: Option<Cycle> = None;
-        let mut earliest = Cycle::MAX;
-        let mut overlap_until: Cycle = 0;
-        for r in 0..self.entries.len() {
-            let e = self.entries[r];
-            if e.completes <= now {
-                continue; // expired
-            }
-            if coalesced.is_none() && e.line == line {
-                coalesced = Some(e.completes);
-            }
-            earliest = earliest.min(e.completes);
-            if e.line.overlaps(&line) && (e.is_write || is_write) {
-                overlap_until = overlap_until.max(e.completes);
-            }
-            if keep != r {
-                self.entries[keep] = e;
-            }
-            keep += 1;
-        }
-        self.entries.truncate(keep);
-
-        if let Some(completes) = coalesced {
+        self.expire(now);
+        let key = pack(&line);
+        // 2-D miss coalescing: "many misses to the same column are combined
+        // into one column access in the MSHR" (paper Sec. VII).
+        if let Some(completes) = self.find(key) {
             return MshrDecision::Coalesced { completes };
         }
 
         // Full file: the request waits for the earliest completion.
         let mut ready_at = now;
         if self.entries.len() >= self.capacity {
-            ready_at = earliest;
-            self.entries.retain(|e| e.completes > earliest);
+            ready_at = self.entries[0].completes;
+            self.expire(ready_at);
         }
 
-        let issue_at = overlap_until.max(ready_at);
+        // Ordering: wait for the latest overlapping transaction when either
+        // side writes. The line itself is absent, so only lines of the other
+        // orientation in the same tile overlap; entries the stall dropped
+        // completed by `ready_at` and cannot raise `issue_at`.
+        let mut issue_at = ready_at;
+        if self.per_orient[1 - orient_of(key)] > 0 {
+            let overlap = self
+                .entries
+                .iter()
+                .rev()
+                .find(|e| (e.key ^ key) >> 3 == 1 && (e.is_write || is_write));
+            if let Some(e) = overlap {
+                issue_at = issue_at.max(e.completes);
+            }
+        }
         MshrDecision::Allocated { issue_at, ready_at }
     }
 
@@ -123,42 +148,26 @@ impl Mshr {
     /// flight (the state update is instantaneous in a latency-forwarding
     /// model, but the data is not).
     pub fn pending_completion(&mut self, line: &LineKey, now: Cycle) -> Option<Cycle> {
-        // Expiry and lookup fused into one order-preserving pass.
-        let mut keep = 0;
-        let mut found = None;
-        for r in 0..self.entries.len() {
-            let e = self.entries[r];
-            if e.completes <= now {
-                continue;
-            }
-            if found.is_none() && e.line == *line {
-                found = Some(e.completes);
-            }
-            if keep != r {
-                self.entries[keep] = e;
-            }
-            keep += 1;
-        }
-        self.entries.truncate(keep);
-        found
+        self.expire(now);
+        self.find(pack(line))
     }
 
     /// Records the completion cycle of a previously allocated miss.
     pub fn complete(&mut self, line: LineKey, is_write: bool, completes: Cycle) {
+        let key = pack(&line);
+        debug_assert!(
+            self.entries.iter().all(|e| e.key != key),
+            "MSHR already tracks {line}; complete must follow an allocation"
+        );
         if self.entries.len() >= self.capacity {
             // Defensive: make room by dropping the earliest completion. The
             // on_miss path already freed space, so this only triggers when a
             // caller allocates without consulting on_miss.
-            let earliest = self
-                .entries
-                .iter()
-                .map(|e| e.completes)
-                .min()
-                // mda-lint: allow(lib-unwrap): structural invariant; this branch only runs when the file is full
-                .expect("full MSHR file is non-empty");
-            self.entries.retain(|e| e.completes > earliest);
+            self.expire(self.entries[0].completes);
         }
-        self.entries.push(Entry { line, completes, is_write });
+        let at = self.entries.partition_point(|e| e.completes <= completes);
+        self.entries.insert(at, Entry { key, completes, is_write });
+        self.per_orient[orient_of(key)] += 1;
     }
 }
 

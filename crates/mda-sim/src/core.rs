@@ -9,7 +9,7 @@
 //! the paper's results depend on; when the window fills behind a stalled
 //! head, issue stops — the classic lost-cycles model.
 
-use mda_mem::Cycle;
+use mda_mem::{ConfigError, Cycle};
 use std::collections::VecDeque;
 
 /// Core parameters.
@@ -34,10 +34,16 @@ impl CoreConfig {
     /// Validates the configuration.
     ///
     /// # Errors
-    /// Returns a message when any resource is zero-sized.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window == 0 || self.issue_width == 0 || self.load_ports == 0 {
-            return Err("window, issue width and load ports must be non-zero".into());
+    /// Returns [`ConfigError::Zero`] naming the first zero-sized resource.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.window == 0 {
+            return Err(ConfigError::Zero { field: "window" });
+        }
+        if self.issue_width == 0 {
+            return Err(ConfigError::Zero { field: "issue_width" });
+        }
+        if self.load_ports == 0 {
+            return Err(ConfigError::Zero { field: "load_ports" });
         }
         Ok(())
     }

@@ -12,7 +12,7 @@
 use crate::core::Core;
 use crate::hierarchy::Hierarchy;
 use crate::report::SimReport;
-use crate::system::{HierarchyKind, SystemConfig};
+use crate::system::SystemConfig;
 use mda_cache::{CacheLevel, LevelKind, StridePrefetcher};
 use mda_compiler::tracefile::RecordedTrace;
 use mda_compiler::trace::{OpCounts, TraceOp, TraceSource};
@@ -64,12 +64,8 @@ impl SystemConfig {
             // mda-lint: allow(lib-unwrap): structural invariant; build_hierarchy always yields L1+L2+LLC
             let _llc = levels.pop().expect("three-level hierarchy");
             privates.push(levels);
-            prefetchers.push(match self.kind {
-                HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => {
-                    Some(StridePrefetcher::new(self.prefetch_degree))
-                }
-                _ => None,
-            });
+            prefetchers
+                .push(self.kind.prefetches().then(|| StridePrefetcher::new(self.prefetch_degree)));
         }
         let shared_llc = {
             let single = self.build_hierarchy();

@@ -65,6 +65,13 @@ impl HierarchyKind {
             _ => CodegenOptions::mda(),
         }
     }
+
+    /// Whether the design has the baseline stride prefetcher. Logically 1-D
+    /// hierarchies keep it so the 2P1L ablation isolates the physical-array
+    /// change; the paper evaluates the MDA designs without prefetching.
+    pub(crate) fn prefetches(&self) -> bool {
+        matches!(self, HierarchyKind::Baseline1P1L | HierarchyKind::P2L1)
+    }
 }
 
 impl std::fmt::Display for HierarchyKind {
@@ -206,18 +213,24 @@ impl SystemConfig {
         self
     }
 
-    /// Validates every cache level and the memory organization.
+    /// Validates every cache level, the memory organization, the core and
+    /// the prefetch degree of a design that prefetches.
     ///
     /// # Errors
     /// Propagates the first [`ConfigError`] found, walking L1 → L2 → L3 →
-    /// memory.
+    /// memory → core → prefetcher.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.l1.validate()?;
         self.l2.validate()?;
         if let Some(l3) = &self.l3 {
             l3.validate()?;
         }
-        self.mem.validate()
+        self.mem.validate()?;
+        self.core.validate()?;
+        if self.kind.prefetches() && self.prefetch_degree == 0 {
+            return Err(ConfigError::Zero { field: "prefetch_degree" });
+        }
+        Ok(())
     }
 
     /// Number of cache levels.
@@ -267,14 +280,7 @@ impl SystemConfig {
             HierarchyKind::P2L1 => Cache2P1L::new(llc_cfg).into(),
         });
 
-        let prefetcher = match self.kind {
-            // Logically 1-D hierarchies keep the baseline's prefetcher so
-            // the 2P1L ablation isolates the physical-array change.
-            HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => {
-                Some(StridePrefetcher::new(self.prefetch_degree))
-            }
-            _ => None,
-        };
+        let prefetcher = self.kind.prefetches().then(|| StridePrefetcher::new(self.prefetch_degree));
         Hierarchy::new(levels, prefetcher, MainMemory::new(self.mem))
     }
 }
@@ -351,6 +357,30 @@ mod tests {
         let mut cfg = SystemConfig::tiny(HierarchyKind::Baseline1P1L);
         cfg.mem.channels = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::Zero { field: "channels" }));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_core_resource() {
+        let mut cfg = SystemConfig::tiny(HierarchyKind::P2L2Sparse);
+        cfg.core.load_ports = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::Zero { field: "load_ports" }));
+        let mut cfg = SystemConfig::tiny(HierarchyKind::P2L2Sparse);
+        cfg.core.window = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::Zero { field: "window" }));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_prefetch_degree_only_where_it_prefetches() {
+        for kind in HierarchyKind::all() {
+            let mut cfg = SystemConfig::tiny(kind);
+            cfg.prefetch_degree = 0;
+            if kind.prefetches() {
+                assert_eq!(cfg.validate(), Err(ConfigError::Zero { field: "prefetch_degree" }));
+            } else {
+                assert_eq!(cfg.validate(), Ok(()), "{kind} has no prefetcher");
+                let _ = cfg.build_hierarchy();
+            }
+        }
     }
 
     #[test]

@@ -6,19 +6,22 @@
 # Steps:
 #   1. release build of the whole workspace
 #   2. full test suite (unit + integration + property tests)
-#   3. `figures all --scale tiny --jobs 2` smoke run, asserting the
+#   3. release unit and integration tests of mda-cache and mda-sim (the
+#      root `cargo test` runs only the facade crate's tests, not their
+#      MSHR, cache-level and hierarchy tests)
+#   4. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
-#   4. reliability smoke run: the seeded fault-injection sweep must be
+#   5. reliability smoke run: the seeded fault-injection sweep must be
 #      byte-identical across worker counts
-#   5. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
+#   6. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#   6. clippy (warnings + perf lints) across the whole workspace
-#   7. mda-lint: the workspace must be free of hot-path allocations,
+#   7. clippy (warnings + perf lints) across the whole workspace
+#   8. mda-lint: the workspace must be free of hot-path allocations,
 #      library panics, nondeterministic report iteration, and stray clocks
-#   8. mda-check: exhaustive dim-3 model check of the duplicate-word policy
+#   9. mda-check: exhaustive dim-3 model check of the duplicate-word policy
 #      plus the model-vs-real differential at dim 2 (the depth-3 default)
-#   9. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
+#  10. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +30,9 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== tests: mda-cache + mda-sim crate tests (release) =="
+cargo test -q --release -p mda-cache -p mda-sim
 
 echo "== lint: clippy (warnings + perf) on the whole workspace =="
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::perf

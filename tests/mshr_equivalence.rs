@@ -1,0 +1,310 @@
+//! Differential test of the MSHR file: seeded sequences of `on_miss`,
+//! `pending_completion`, `complete` and `expire` are replayed through
+//! `mda_cache::Mshr` and through the original linear, insertion-ordered
+//! implementation (kept below as the oracle). Every decision, every pending
+//! completion and the outstanding count must agree after every call.
+//!
+//! The sequences honour the one contract the sorted file relies on: a line
+//! is only `complete`d while the file holds no entry for it (the hierarchy
+//! calls `complete` only after an `Allocated` decision).
+
+use mda_cache::mshr::MshrDecision;
+use mda_cache::Mshr;
+use mda_mem::{Cycle, LineKey, Orientation};
+
+/// The original MSHR file: an unsorted `Vec` scanned and compacted in full
+/// on every call.
+mod oracle {
+    use mda_cache::mshr::MshrDecision;
+    use mda_mem::{Cycle, LineKey};
+
+    /// One outstanding miss.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Entry {
+        line: LineKey,
+        completes: Cycle,
+        is_write: bool,
+    }
+
+    /// A bounded table of outstanding misses for one cache level.
+    #[derive(Debug, Clone)]
+    pub struct Mshr {
+        entries: Vec<Entry>,
+        capacity: usize,
+    }
+
+    impl Mshr {
+        pub fn new(capacity: usize) -> Mshr {
+            assert!(capacity > 0, "MSHR capacity must be non-zero");
+            Mshr { entries: Vec::with_capacity(capacity), capacity }
+        }
+
+        pub fn outstanding(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub fn expire(&mut self, now: Cycle) {
+            self.entries.retain(|e| e.completes > now);
+        }
+
+        pub fn on_miss(&mut self, line: LineKey, is_write: bool, now: Cycle) -> MshrDecision {
+            let mut keep = 0;
+            let mut coalesced: Option<Cycle> = None;
+            let mut earliest = Cycle::MAX;
+            let mut overlap_until: Cycle = 0;
+            for r in 0..self.entries.len() {
+                let e = self.entries[r];
+                if e.completes <= now {
+                    continue; // expired
+                }
+                if coalesced.is_none() && e.line == line {
+                    coalesced = Some(e.completes);
+                }
+                earliest = earliest.min(e.completes);
+                if e.line.overlaps(&line) && (e.is_write || is_write) {
+                    overlap_until = overlap_until.max(e.completes);
+                }
+                if keep != r {
+                    self.entries[keep] = e;
+                }
+                keep += 1;
+            }
+            self.entries.truncate(keep);
+
+            if let Some(completes) = coalesced {
+                return MshrDecision::Coalesced { completes };
+            }
+
+            // Full file: the request waits for the earliest completion.
+            let mut ready_at = now;
+            if self.entries.len() >= self.capacity {
+                ready_at = earliest;
+                self.entries.retain(|e| e.completes > earliest);
+            }
+
+            let issue_at = overlap_until.max(ready_at);
+            MshrDecision::Allocated { issue_at, ready_at }
+        }
+
+        pub fn pending_completion(&mut self, line: &LineKey, now: Cycle) -> Option<Cycle> {
+            let mut keep = 0;
+            let mut found = None;
+            for r in 0..self.entries.len() {
+                let e = self.entries[r];
+                if e.completes <= now {
+                    continue;
+                }
+                if found.is_none() && e.line == *line {
+                    found = Some(e.completes);
+                }
+                if keep != r {
+                    self.entries[keep] = e;
+                }
+                keep += 1;
+            }
+            self.entries.truncate(keep);
+            found
+        }
+
+        pub fn complete(&mut self, line: LineKey, is_write: bool, completes: Cycle) {
+            if self.entries.len() >= self.capacity {
+                let earliest = self
+                    .entries
+                    .iter()
+                    .map(|e| e.completes)
+                    .min()
+                    .expect("full MSHR file is non-empty");
+                self.entries.retain(|e| e.completes > earliest);
+            }
+            self.entries.push(Entry { line, completes, is_write });
+        }
+    }
+
+    impl Mshr {
+        /// Whether the file holds an entry for `line`, expired or not (the
+        /// test's guard for the one-entry-per-line contract of `complete`).
+        pub fn holds(&self, line: &LineKey) -> bool {
+            self.entries.iter().any(|e| e.line == *line)
+        }
+
+        /// Whether some entry already completes at `cycle`.
+        pub fn holds_completion(&self, cycle: Cycle) -> bool {
+            self.entries.iter().any(|e| e.completes == cycle)
+        }
+    }
+}
+
+/// SplitMix64: a small seeded generator so the sequences repeat exactly.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.below(100) < percent
+    }
+}
+
+/// How often each interesting event was exercised, so a generator change
+/// that stops reaching one fails loudly instead of testing less.
+#[derive(Debug, Default)]
+struct Coverage {
+    coalesced: u64,
+    stalled: u64,
+    ordered: u64,
+    pending_hits: u64,
+    full_completes: u64,
+    backward_steps: u64,
+    tied_completes: u64,
+}
+
+/// The shape of one replayed sequence.
+struct Shape {
+    capacity: usize,
+    tiles: u64,
+    idxs: u64,
+    /// Upper bound of a fill latency; long latencies fill the file.
+    max_latency: u64,
+}
+
+/// Tile ids used by a sequence: small ids plus one near the top of the
+/// packed-key range, so the packing's high bits are exercised.
+fn tile_id(k: u64) -> u64 {
+    if k == 0 {
+        (1 << 54) + 3
+    } else {
+        k
+    }
+}
+
+fn random_line(rng: &mut Rng, shape: &Shape) -> LineKey {
+    let orient = if rng.chance(50) { Orientation::Row } else { Orientation::Col };
+    let idx = rng.below(shape.idxs) as u8;
+    LineKey::new(tile_id(rng.below(shape.tiles)), orient, idx)
+}
+
+/// A latency drawn from a coarse grid, so completions often tie.
+fn latency(rng: &mut Rng, shape: &Shape) -> Cycle {
+    let steps = shape.max_latency / 8;
+    8 * rng.below(steps + 1)
+}
+
+fn complete_both(
+    new: &mut Mshr,
+    old: &mut oracle::Mshr,
+    line: LineKey,
+    is_write: bool,
+    done: Cycle,
+    cov: &mut Coverage,
+) {
+    cov.tied_completes += u64::from(old.holds_completion(done));
+    new.complete(line, is_write, done);
+    old.complete(line, is_write, done);
+}
+
+fn replay(seed: u64, shape: &Shape, ops: usize, cov: &mut Coverage) {
+    let mut rng = Rng(seed);
+    let mut new = Mshr::new(shape.capacity);
+    let mut old = oracle::Mshr::new(shape.capacity);
+    let mut now: Cycle = 1000;
+
+    for step in 0..ops {
+        // Time mostly advances, but callers also probe earlier cycles (fill
+        // companions and writebacks are issued at other timestamps).
+        match rng.below(10) {
+            0 => {
+                now = now.saturating_sub(rng.below(64));
+                cov.backward_steps += 1;
+            }
+            1 => {}
+            _ => now += rng.below(12),
+        }
+        let ctx = |what: &str| format!("seed {seed} cap {} step {step}: {what}", shape.capacity);
+
+        let line = random_line(&mut rng, shape);
+        let is_write = rng.chance(30);
+        match rng.below(100) {
+            0..=44 => {
+                let got = new.on_miss(line, is_write, now);
+                let want = old.on_miss(line, is_write, now);
+                assert_eq!(got, want, "{}", ctx("on_miss"));
+                match want {
+                    MshrDecision::Coalesced { .. } => cov.coalesced += 1,
+                    MshrDecision::Allocated { issue_at, ready_at } => {
+                        cov.stalled += u64::from(ready_at > now);
+                        cov.ordered += u64::from(issue_at > ready_at);
+                        // The hierarchy completes every allocation before it
+                        // touches this file again; a few are dropped here to
+                        // leave gaps.
+                        if rng.chance(95) {
+                            let done = issue_at + latency(&mut rng, shape);
+                            complete_both(&mut new, &mut old, line, is_write, done, cov);
+                        }
+                    }
+                }
+            }
+            45..=84 => {
+                let got = new.pending_completion(&line, now);
+                let want = old.pending_completion(&line, now);
+                assert_eq!(got, want, "{}", ctx("pending_completion"));
+                cov.pending_hits += u64::from(want.is_some());
+            }
+            85..=94 => {
+                // A completion without a prior on_miss, possibly into a full
+                // file and possibly already in the past.
+                if !old.holds(&line) {
+                    cov.full_completes += u64::from(old.outstanding() >= shape.capacity);
+                    let done = now.saturating_sub(16) + latency(&mut rng, shape);
+                    complete_both(&mut new, &mut old, line, is_write, done, cov);
+                }
+            }
+            _ => {
+                new.expire(now);
+                old.expire(now);
+            }
+        }
+        assert_eq!(new.outstanding(), old.outstanding(), "{}", ctx("outstanding"));
+    }
+}
+
+#[test]
+fn sorted_mshr_matches_the_linear_oracle() {
+    for capacity in [1, 2, 3, 16, 32, 64] {
+        let mut cov = Coverage::default();
+        for seed in 0..12u64 {
+            // Alternate a crowded line pool (coalescing, same-tile row/column
+            // mixes) with a wide one (more lines than registers).
+            let shape = if seed % 2 == 0 {
+                Shape { capacity, tiles: 2, idxs: 3, max_latency: 96 }
+            } else {
+                Shape { capacity, tiles: 8, idxs: 8, max_latency: 32 * capacity as u64 }
+            };
+            replay(seed * 0x1000 + capacity as u64, &shape, 4000, &mut cov);
+        }
+        assert!(cov.coalesced > 0, "capacity {capacity}: no coalescing: {cov:?}");
+        assert!(cov.stalled > 0, "capacity {capacity}: no full-file stall: {cov:?}");
+        // A single register is always empty again once a new miss is
+        // allocated, so nothing can order it or tie with it.
+        assert!(
+            capacity == 1 || cov.ordered > 0,
+            "capacity {capacity}: no overlap ordering: {cov:?}"
+        );
+        assert!(cov.pending_hits > 0, "capacity {capacity}: no pending hit: {cov:?}");
+        assert!(cov.full_completes > 0, "capacity {capacity}: no full complete: {cov:?}");
+        assert!(cov.backward_steps > 0, "capacity {capacity}: time never went back: {cov:?}");
+        assert!(
+            capacity == 1 || cov.tied_completes > 0,
+            "capacity {capacity}: no tied completions: {cov:?}"
+        );
+    }
+}
