@@ -5,10 +5,15 @@
 //! figures <experiment|all> [--scale tiny|scaled|paper] [--csv DIR]
 //!         [--jobs N] [--bench-timings]
 //! figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N]
+//!         [--only NAME]
 //!
 //! experiments: table1 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
 //!              ablation ext_tiling ext_multicore ext_energy
 //!              ext_reliability
+//!
+//! Every name is checked before the first experiment runs; an unknown
+//! one exits 2 with nothing printed. Each experiment runs once and its
+//! text and CSVs are rendered from that one result.
 //!
 //! --csv DIR additionally writes every table-shaped figure as CSV files
 //! under DIR (for external plotting).
@@ -24,25 +29,20 @@
 //! --bench-sim measures steady-state simulator throughput (trace mem-ops
 //! per wall-clock second) for every design × kernel cell and writes
 //! BENCH_sim.json. --smoke shrinks it to tiny scale × 1 rep for CI.
+//! --only NAME keeps only the cells whose `design/kernel` label contains
+//! NAME.
 //! ```
 
-use mda_bench::experiments::{
-    ablation, ext_energy, ext_multicore, ext_reliability, ext_tiling, fig10, fig11, fig12, fig13, fig14, fig15,
-    fig16, fig17, table1,
-};
+use mda_bench::experiments::{self, Experiment};
 use mda_bench::{parallel, Scale};
 use std::time::Instant;
 
-const EXPERIMENTS: [&str; 14] = [
-    "table1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation",
-    "ext_tiling", "ext_multicore", "ext_energy", "ext_reliability",
-];
-
 fn usage() -> ! {
+    let names: Vec<&str> = experiments::ALL.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: figures <{}|all> [--scale tiny|scaled|paper] [--csv DIR] [--jobs N] [--bench-timings]\n\
-         \x20      figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N]",
-        EXPERIMENTS.join("|")
+         \x20      figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N] [--only NAME]",
+        names.join("|")
     );
     std::process::exit(2);
 }
@@ -59,74 +59,6 @@ fn emit_csv(dir: &std::path::Path, name: &str, csv: &str) {
             std::process::exit(1);
         }
     }
-}
-
-fn run_csv(name: &str, scale: Scale, dir: &std::path::Path) {
-    match name {
-        "fig11" => {
-            let f = fig11::run(scale);
-            emit_csv(dir, "fig11_hit_rate", &f.hit_rate.to_csv());
-            emit_csv(dir, "fig11_fills", &f.fills.to_csv());
-        }
-        "fig12" => {
-            for (llc, fig) in fig12::run(scale) {
-                emit_csv(dir, &format!("fig12_llc_{}k", llc / 1024), &fig.to_csv());
-            }
-        }
-        "fig13" => emit_csv(dir, "fig13", &fig13::run(scale).to_csv()),
-        "fig14" => {
-            let f = fig14::run(scale);
-            emit_csv(dir, "fig14_llc_accesses", &f.llc_accesses.to_csv());
-            emit_csv(dir, "fig14_memory_bytes", &f.memory_bytes.to_csv());
-        }
-        "fig16" => emit_csv(dir, "fig16", &fig16::run(scale).to_csv()),
-        "fig17" => emit_csv(dir, "fig17", &fig17::run(scale).to_csv()),
-        "ablation" => {
-            emit_csv(dir, "ablation_layout", &ablation::layout_mismatch(scale).to_csv());
-            emit_csv(dir, "ablation_dense", &ablation::dense_fill(scale).to_csv());
-            emit_csv(dir, "ablation_subrow", &ablation::sub_row_buffers(scale).to_csv());
-            emit_csv(dir, "ablation_2p1l", &ablation::taxonomy_2p1l(scale).to_csv());
-        }
-        "ext_tiling" => emit_csv(dir, "ext_tiling", &ext_tiling::run(scale).to_csv()),
-        "ext_multicore" => emit_csv(dir, "ext_multicore", &ext_multicore::run(scale).to_csv()),
-        "ext_energy" => emit_csv(dir, "ext_energy", &ext_energy::run(scale).to_csv()),
-        "ext_reliability" => {
-            let f = ext_reliability::run(scale);
-            emit_csv(dir, "ext_reliability_cycles", &f.cycles.to_csv());
-            emit_csv(dir, "ext_reliability_retries", &f.retries.to_csv());
-            emit_csv(dir, "ext_reliability_corrected", &f.corrected.to_csv());
-        }
-        // table1/fig10/fig15 are not kernel×design tables.
-        _ => {}
-    }
-}
-
-fn run_one(name: &str, scale: Scale) -> f64 {
-    let t0 = Instant::now();
-    let out = match name {
-        "table1" => table1::render(scale),
-        "fig10" => fig10::render(scale),
-        "fig11" => fig11::render(scale),
-        "fig12" => fig12::render(scale),
-        "fig13" => fig13::run(scale).render(),
-        "fig14" => fig14::render(scale),
-        "fig15" => fig15::render(scale),
-        "fig16" => fig16::run(scale).render(),
-        "fig17" => fig17::run(scale).render(),
-        "ablation" => ablation::render(scale),
-        "ext_tiling" => ext_tiling::run(scale).render(),
-        "ext_multicore" => ext_multicore::run(scale).render(),
-        "ext_energy" => ext_energy::run(scale).render(),
-        "ext_reliability" => ext_reliability::render(scale),
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            usage()
-        }
-    };
-    println!("{out}");
-    let seconds = t0.elapsed().as_secs_f64();
-    eprintln!("[{name} completed in {seconds:.1}s]\n");
-    seconds
 }
 
 fn main() {
@@ -208,8 +140,21 @@ fn main() {
     if targets.is_empty() {
         usage();
     }
+    // Every name is checked before the first experiment runs, so a typo
+    // neither prints partial output nor creates the CSV directory.
+    let mut chosen: Vec<Experiment> = Vec::new();
+    for t in &targets {
+        match experiments::find(t) {
+            Some(e) => chosen.push(e),
+            None if t == "all" => {}
+            None => {
+                eprintln!("unknown experiment '{t}'");
+                usage()
+            }
+        }
+    }
     if targets.iter().any(|t| t == "all") {
-        targets = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        chosen = experiments::ALL.to_vec();
     }
     if let Some(dir) = &csv_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -218,19 +163,25 @@ fn main() {
         }
     }
     eprintln!("scale: {scale}\n");
-    for t in &targets {
+    for (name, run) in chosen {
         parallel::take_cell_count();
-        let seconds = run_one(t, scale);
+        let t0 = Instant::now();
+        let out = run(scale);
+        println!("{}", out.text);
+        let seconds = t0.elapsed().as_secs_f64();
+        eprintln!("[{name} completed in {seconds:.1}s]\n");
         let cells = parallel::take_cell_count();
         if let Some(entries) = &mut bench_entries {
             entries.push(format!(
-                "  {{\"experiment\": \"{t}\", \"scale\": \"{scale}\", \"seconds\": {seconds:.3}, \
+                "  {{\"experiment\": \"{name}\", \"scale\": \"{scale}\", \"seconds\": {seconds:.3}, \
                  \"cells\": {cells}, \"jobs\": {}}}",
                 parallel::jobs()
             ));
         }
         if let Some(dir) = &csv_dir {
-            run_csv(t, scale, dir);
+            for (stem, body) in &out.csvs {
+                emit_csv(dir, stem, body);
+            }
         }
     }
     if let Some(entries) = bench_entries {

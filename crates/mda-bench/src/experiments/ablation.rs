@@ -118,17 +118,6 @@ pub fn taxonomy_2p1l(scale: Scale) -> FigureTable {
     fig
 }
 
-/// Renders all ablations.
-pub fn render(scale: Scale) -> String {
-    format!(
-        "{}\n{}\n{}\n{}",
-        layout_mismatch(scale).render(),
-        dense_fill(scale).render(),
-        sub_row_buffers(scale).render(),
-        taxonomy_2p1l(scale).render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -114,12 +114,6 @@ pub fn run(scale: Scale) -> ReliabilityFigure {
     ReliabilityFigure { cycles, retries, corrected }
 }
 
-/// Renders all three panels.
-pub fn render(scale: Scale) -> String {
-    let f = run(scale);
-    format!("{}\n{}\n{}", f.cycles.render(), f.retries.render(), f.corrected.render())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,12 +60,6 @@ pub fn run(scale: Scale) -> Fig11 {
     Fig11 { hit_rate, fills }
 }
 
-/// Renders both panels.
-pub fn render(scale: Scale) -> String {
-    let f = run(scale);
-    format!("{}\n{}", f.hit_rate.render(), f.fills.render())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

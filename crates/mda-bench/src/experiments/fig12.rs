@@ -32,15 +32,6 @@ pub fn run_one(scale: Scale, llc: u64) -> FigureTable {
     fig
 }
 
-/// Renders the whole sweep.
-pub fn render(scale: Scale) -> String {
-    run(scale)
-        .into_iter()
-        .map(|(_, fig)| fig.render())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

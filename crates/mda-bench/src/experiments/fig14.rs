@@ -47,12 +47,6 @@ pub fn run(scale: Scale) -> Fig14 {
     Fig14 { llc_accesses: acc, memory_bytes: bytes }
 }
 
-/// Renders both panels.
-pub fn render(scale: Scale) -> String {
-    let f = run(scale);
-    format!("{}\n{}", f.llc_accesses.render(), f.memory_bytes.render())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,9 +16,86 @@ pub mod fig17;
 pub mod table1;
 
 use crate::parallel::CellResult;
+use crate::scale::Scale;
 use crate::table::{fmt_ratio, TextTable};
 use mda_sim::{simulate, HierarchyKind, SimReport, SystemConfig};
 use mda_workloads::Kernel;
+
+/// An experiment: its name on the `figures` command line and the function
+/// that runs it once.
+pub type Experiment = (&'static str, fn(Scale) -> Output);
+
+/// Every experiment, in `figures all` order. This table is the only place
+/// that maps an experiment name to its code.
+pub const ALL: [Experiment; 14] = [
+    ("table1", |s| Output::text(table1::render(s))),
+    ("fig10", |s| Output::text(fig10::render(s))),
+    ("fig11", |s| {
+        let f = fig11::run(s);
+        Output::panels([("fig11_hit_rate", f.hit_rate), ("fig11_fills", f.fills)])
+    }),
+    ("fig12", |s| {
+        Output::panels(fig12::run(s).into_iter().map(|(llc, fig)| (format!("fig12_llc_{}k", llc / 1024), fig)))
+    }),
+    ("fig13", |s| Output::panels([("fig13", fig13::run(s))])),
+    ("fig14", |s| {
+        let f = fig14::run(s);
+        Output::panels([("fig14_llc_accesses", f.llc_accesses), ("fig14_memory_bytes", f.memory_bytes)])
+    }),
+    ("fig15", |s| Output::text(fig15::render(s))),
+    ("fig16", |s| Output::panels([("fig16", fig16::run(s))])),
+    ("fig17", |s| Output::panels([("fig17", fig17::run(s))])),
+    ("ablation", |s| {
+        Output::panels([
+            ("ablation_layout", ablation::layout_mismatch(s)),
+            ("ablation_dense", ablation::dense_fill(s)),
+            ("ablation_subrow", ablation::sub_row_buffers(s)),
+            ("ablation_2p1l", ablation::taxonomy_2p1l(s)),
+        ])
+    }),
+    ("ext_tiling", |s| Output::panels([("ext_tiling", ext_tiling::run(s))])),
+    ("ext_multicore", |s| Output::panels([("ext_multicore", ext_multicore::run(s))])),
+    ("ext_energy", |s| Output::panels([("ext_energy", ext_energy::run(s))])),
+    ("ext_reliability", |s| {
+        let f = ext_reliability::run(s);
+        Output::panels([
+            ("ext_reliability_cycles", f.cycles),
+            ("ext_reliability_retries", f.retries),
+            ("ext_reliability_corrected", f.corrected),
+        ])
+    }),
+];
+
+/// The experiment called `name`, if there is one.
+pub fn find(name: &str) -> Option<Experiment> {
+    ALL.iter().find(|(n, _)| *n == name).copied()
+}
+
+/// What one run of an experiment produces: the text `figures` prints and
+/// the CSV files it writes under `--csv`, both rendered from the same
+/// result.
+#[derive(Debug)]
+pub struct Output {
+    /// The aligned text tables.
+    pub text: String,
+    /// One `(file stem, CSV body)` pair per kernel × design panel.
+    pub csvs: Vec<(String, String)>,
+}
+
+impl Output {
+    /// Text with no CSV (table1, fig10 and fig15 are not kernel × design
+    /// tables).
+    fn text(text: String) -> Output {
+        Output { text, csvs: Vec::new() }
+    }
+
+    /// Panels printed one after another, each also written as `stem.csv`.
+    fn panels<S: Into<String>>(panels: impl IntoIterator<Item = (S, FigureTable)>) -> Output {
+        let (texts, csvs): (Vec<String>, _) =
+            panels.into_iter().map(|(stem, fig)| (fig.render(), (stem.into(), fig.to_csv()))).unzip();
+        Output { text: texts.join("\n"), csvs }
+    }
+}
 
 /// The design list shared by the figure experiments and the `sweep`
 /// binary: the prefetching baseline first, then the MDA designs of

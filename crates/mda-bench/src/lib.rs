@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Scales:
-//! * `tiny`   — 64×64 inputs, 4/8/16 KB caches (seconds; CI and Criterion)
+//! * `tiny`   — 64×64 inputs, 4/8/16 KB caches (seconds; tests and CI smoke runs)
 //! * `scaled` — 256×256 inputs, 16/64/256 KB caches (default; the paper's
 //!   working-set-to-capacity ratios at 4× reduction)
 //! * `paper`  — 512×512 inputs against the full Table I machine (slow)

@@ -170,7 +170,7 @@ impl SystemConfig {
         }
     }
 
-    /// A minimal system for unit tests and Criterion benches: 64×64 inputs
+    /// A minimal system for unit tests and smoke runs: 64×64 inputs
     /// against 4 KB / 8 KB / 16 KB caches (the paper's working-set ratio at
     /// 64× reduction).
     pub fn tiny(kind: HierarchyKind) -> SystemConfig {

@@ -11,17 +11,19 @@
 #      MSHR, cache-level and hierarchy tests)
 #   4. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
-#   5. reliability smoke run: the seeded fault-injection sweep must be
+#   5. `--csv` must leave the text output byte-identical, and an unknown
+#      experiment name must exit 2 before anything runs or is written
+#   6. reliability smoke run: the seeded fault-injection sweep must be
 #      byte-identical across worker counts
-#   6. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
+#   7. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#   7. clippy (warnings + perf lints) across the whole workspace
-#   8. mda-lint: the workspace must be free of hot-path allocations,
+#   8. clippy (warnings + perf lints) across the whole workspace
+#   9. mda-lint: the workspace must be free of hot-path allocations,
 #      library panics, nondeterministic report iteration, and stray clocks
-#   9. mda-check: exhaustive dim-3 model check of the duplicate-word policy
+#  10. mda-check: exhaustive dim-3 model check of the duplicate-word policy
 #      plus the model-vs-real differential at dim 2 (the depth-3 default)
-#  10. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
+#  11. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +59,22 @@ trap 'rm -rf "$TMP"' EXIT
 cmp "$TMP/out1.txt" "$TMP/out2.txt"
 diff -rq "$TMP/csv1" "$TMP/csv2"
 echo "parallel output byte-identical"
+
+echo "== smoke: --csv leaves the text output unchanged =="
+"$FIGURES" fig13 ext_reliability --scale tiny --jobs 2 >"$TMP/plain.txt" 2>/dev/null
+"$FIGURES" fig13 ext_reliability --scale tiny --jobs 2 --csv "$TMP/csv3" >"$TMP/with_csv.txt" 2>/dev/null
+cmp "$TMP/plain.txt" "$TMP/with_csv.txt"
+test -s "$TMP/csv3/fig13.csv"
+test -s "$TMP/csv3/ext_reliability_corrected.csv"
+echo "--csv changes no text output"
+
+echo "== smoke: an unknown experiment name runs nothing =="
+status=0
+"$FIGURES" fig13 nosuch --scale tiny --csv "$TMP/bad_csv" >"$TMP/bad_out.txt" 2>/dev/null || status=$?
+test "$status" -eq 2
+test ! -s "$TMP/bad_out.txt"
+test ! -e "$TMP/bad_csv"
+echo "unknown name exits 2 with empty stdout and no CSV directory"
 
 echo "== smoke: seeded fault injection, --jobs 2 vs --jobs 4 =="
 SWEEP=target/release/sweep
