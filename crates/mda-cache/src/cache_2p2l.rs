@@ -7,7 +7,7 @@
 //! row line and per column line (16 bits per 512 B — the same overhead as
 //! the valid + orientation bits of a 1P2L cache, paper Sec. IV-B-b).
 //!
-//! Two fill policies are modelled:
+//! Three modes are modelled:
 //!
 //! * **sparse** (the paper's evaluated variant): only the demanded line is
 //!   transferred into the allocated block; writebacks elide never-filled
@@ -15,6 +15,14 @@
 //!   the other orientation happen to be present ("partial hits").
 //! * **dense** (ablation): the demand miss pulls all eight lines of the
 //!   demand orientation, paying the paper's "large unit transfer cost".
+//! * **rows-only** (the 2P1L taxonomy point, Sec. IV-A, which the paper
+//!   names but elides): the same block array, filled sparsely, but it only
+//!   ever *serves rows* — every access goes through the row line holding
+//!   its word. Comparing it against 1P1L and 2P2L isolates how much of the
+//!   MDA benefit comes from the physical array versus from logically 2-D
+//!   caching: physical dimensionality alone buys nothing (it only adds NVM
+//!   write latency and block-granular conflicts); the win comes from
+//!   expressing and serving column preference.
 
 use crate::config::CacheConfig;
 use crate::inline_vec::InlineVec;
@@ -70,12 +78,24 @@ impl TileMeta {
     }
 }
 
+/// Which lines a block serves and how a miss fills it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Rows and columns; a miss transfers only the demand line.
+    Sparse,
+    /// Rows and columns; a miss transfers every line of its orientation.
+    Dense,
+    /// Row lines only (2P1L); a miss transfers only the demand line. No
+    /// column line is ever installed, so every `col_valid` stays zero.
+    RowsOnly,
+}
+
 /// The physically 2-D cache.
 #[derive(Debug, Clone)]
 pub struct Cache2P2L {
     config: CacheConfig,
     array: SetArray<TileId, TileMeta>,
-    sparse: bool,
+    mode: Mode,
     stats: CacheStats,
 }
 
@@ -96,31 +116,55 @@ impl Cache2P2L {
     /// Panics if the configuration is invalid or smaller than one block per
     /// set.
     pub fn with_fill_policy(config: CacheConfig, sparse: bool) -> Cache2P2L {
+        Cache2P2L::build(config, if sparse { Mode::Sparse } else { Mode::Dense })
+    }
+
+    /// Builds a rows-only level: the 2P1L taxonomy point, a 2-D block
+    /// array that serves every access through row lines.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid or smaller than one block per
+    /// set.
+    pub fn rows_only(config: CacheConfig) -> Cache2P2L {
+        Cache2P2L::build(config, Mode::RowsOnly)
+    }
+
+    fn build(config: CacheConfig, mode: Mode) -> Cache2P2L {
         if let Err(msg) = config.validate() {
             // mda-lint: allow(lib-unwrap): documented `# Panics` contract rejecting invalid configs
             panic!("invalid CacheConfig: {msg}");
         }
         assert!(config.tile_sets() > 0, "capacity too small for 512-byte blocks");
         let array = SetArray::new(config.tile_sets(), config.assoc);
-        Cache2P2L { config, array, sparse, stats: CacheStats::default() }
-    }
-
-    /// Whether the sparse fill policy is active.
-    pub fn is_sparse(&self) -> bool {
-        self.sparse
+        Cache2P2L { config, array, mode, stats: CacheStats::default() }
     }
 
     fn set_of(&self, tile: TileId) -> usize {
         self.array.set_index(tile)
     }
 
+    /// The line that classifies `acc` and fills on its miss: the preferred
+    /// line, or in rows-only mode the row line holding the accessed word
+    /// (column vectors are impossible on a logically 1-D organization).
+    fn target_line(&self, acc: &Access) -> LineKey {
+        match (self.mode, acc.width, acc.orient) {
+            (Mode::Sparse | Mode::Dense, _, _) => acc.preferred_line(),
+            // mda-lint: allow(lib-unwrap): documented API contract; the compiler never emits column vectors for 2P1L
+            (Mode::RowsOnly, AccessWidth::Vector, Orientation::Col) => panic!(
+                "column vector access reached a 2P1L cache; the compiler \
+                 must lower these to scalars for logically 1-D hierarchies"
+            ),
+            (Mode::RowsOnly, _, _) => LineKey::containing(acc.word, Orientation::Row),
+        }
+    }
+
     /// Appends the fill lines demanded on a miss of `line`: just the demand
-    /// line when sparse; the demand line followed by the rest of its
-    /// orientation when dense (at most eight lines, so the probe's inline
-    /// buffer always suffices).
+    /// line when sparse or rows-only; the demand line followed by the rest
+    /// of its orientation when dense (at most eight lines, so the probe's
+    /// inline buffer always suffices).
     fn fill_lines(&self, line: LineKey, meta: Option<&TileMeta>, fills: &mut InlineVec<LineKey, PROBE_MAX>) {
         fills.push(line);
-        if self.sparse {
+        if self.mode != Mode::Dense {
             return;
         }
         for idx in 0..TILE_LINES as u8 {
@@ -181,12 +225,15 @@ impl CacheLevel for Cache2P2L {
     fn probe_into(&mut self, acc: &Access, out: &mut Probe) {
         out.reset();
         let set = self.set_of(acc.word.tile());
-        let preferred = acc.preferred_line();
+        let preferred = self.target_line(acc);
 
         // One set scan classifies the access, refreshes recency, and (on a
         // write hit) marks dirty bits through the same borrow; the metadata
         // is tiny and `Copy`, so the miss path keeps a snapshot for
-        // `fill_lines` instead of re-scanning the set.
+        // `fill_lines` instead of re-scanning the set. In rows-only mode no
+        // column line is present, so the classification reduces to the
+        // presence of the target row line and never reports a partial hit,
+        // and a write dirties that row.
         let mut resident = None;
         let (hit, covered) = match self.array.get_mut(set, acc.word.tile()) {
             None => (false, false),
@@ -232,6 +279,10 @@ impl CacheLevel for Cache2P2L {
     }
 
     fn fill(&mut self, line: LineKey, dirty: u8, out: &mut Vec<Writeback>) {
+        debug_assert!(
+            self.mode != Mode::RowsOnly || line.orient == Orientation::Row,
+            "2P1L stores row lines only"
+        );
         let set = self.set_of(line.tile);
         if let Some(meta) = self.array.get_mut(set, line.tile) {
             meta.set_valid(line.orient, line.idx);
@@ -254,6 +305,9 @@ impl CacheLevel for Cache2P2L {
     }
 
     fn absorb_writeback(&mut self, wb: &Writeback, _cascades: &mut Vec<Writeback>) -> bool {
+        if self.mode == Mode::RowsOnly && wb.line.orient != Orientation::Row {
+            return false;
+        }
         let set = self.set_of(wb.line.tile);
         match self.array.get_mut(set, wb.line.tile) {
             Some(meta) => {
@@ -442,6 +496,61 @@ mod tests {
         let wbs = c.flush_collect();
         assert_eq!(wbs.len(), 1);
         assert_eq!(c.occupancy().0 + c.occupancy().1, 0);
+    }
+
+    fn rows_only_cache() -> Cache2P2L {
+        let mut cfg = CacheConfig::l3(16 * 1024);
+        cfg.assoc = 8;
+        Cache2P2L::rows_only(cfg)
+    }
+
+    #[test]
+    fn rows_only_row_fill_then_hit() {
+        let mut c = rows_only_cache();
+        let line = LineKey::new(3, Orientation::Row, 2);
+        let p = c.probe(&Access::vector_read(line, 0));
+        assert!(!p.hit);
+        assert_eq!(p.fills, vec![line], "sparse row fill only");
+        c.fill_collect(line, 0);
+        assert!(c.probe(&Access::vector_read(line, 0)).hit);
+    }
+
+    #[test]
+    fn rows_only_column_scalar_is_served_through_row_lines() {
+        let mut c = rows_only_cache();
+        let w = WordAddr::from_tile_coords(1, 4, 6);
+        let p = c.probe(&Access::scalar_read(w, Orientation::Col, 0));
+        assert_eq!(p.fills, vec![LineKey::new(1, Orientation::Row, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column vector access")]
+    fn rows_only_column_vectors_are_rejected() {
+        let mut c = rows_only_cache();
+        let _ = c.probe(&Access::vector_read(LineKey::new(0, Orientation::Col, 0), 0));
+    }
+
+    #[test]
+    fn rows_only_eviction_is_block_granular() {
+        let mut c = rows_only_cache();
+        // Two rows of tile 0 resident, one dirty.
+        c.fill_collect(LineKey::new(0, Orientation::Row, 0), 0xFF);
+        c.fill_collect(LineKey::new(0, Orientation::Row, 5), 0);
+        // Displace tile 0 (set 0 holds tiles ≡ 0 mod 4, 8 ways).
+        let mut wbs = Vec::new();
+        for k in 1..=8u64 {
+            wbs.extend(c.fill_collect(LineKey::new(4 * k, Orientation::Row, 0), 0));
+        }
+        assert_eq!(wbs.len(), 1, "only the dirty row written back");
+        assert!(!c.contains_line(&LineKey::new(0, Orientation::Row, 5)));
+    }
+
+    #[test]
+    fn rows_only_occupancy_counts_rows_only() {
+        let mut c = rows_only_cache();
+        c.fill_collect(LineKey::new(0, Orientation::Row, 0), 0);
+        c.fill_collect(LineKey::new(0, Orientation::Row, 1), 0);
+        assert_eq!(c.occupancy(), (2, 0, 256));
     }
 
     #[test]

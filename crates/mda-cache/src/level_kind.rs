@@ -1,32 +1,31 @@
 // mda-lint: hot-path
-//! Statically-dispatched sum of the four cache organizations.
+//! Statically-dispatched sum of the three cache organizations.
 //!
 //! The simulator's hierarchy used to hold `Box<dyn CacheLevel>`, paying a
 //! vtable indirection on every probe/fill/writeback of the demand path.
-//! [`LevelKind`] enumerates the four concrete organizations instead: each
+//! [`LevelKind`] enumerates the three concrete organizations instead (the
+//! 2P1L taxonomy point is the rows-only mode of [`Cache2P2L`]): each
 //! trait call is a `match` that monomorphizes into direct calls the
 //! optimizer can inline. The `CacheLevel` trait itself stays object-safe
 //! for tests and tools that still want dynamic dispatch.
 
 use crate::cache_1p1l::Cache1P1L;
 use crate::cache_1p2l::Cache1P2L;
-use crate::cache_2p1l::Cache2P1L;
 use crate::cache_2p2l::Cache2P2L;
 use crate::config::CacheConfig;
 use crate::level::{Access, CacheLevel, Probe, Writeback};
 use crate::stats::CacheStats;
 use mda_mem::LineKey;
 
-/// One cache level of any of the four taxonomy organizations.
+/// One cache level of any of the taxonomy organizations.
 #[derive(Debug, Clone)]
 pub enum LevelKind {
     /// Conventional baseline (physically and logically 1-D).
     L1P1L(Cache1P1L),
     /// Logically 2-D SRAM (Different-Set or Same-Set mapping).
     L1P2L(Cache1P2L),
-    /// Physically 2-D, rows only (taxonomy ablation).
-    L2P1L(Cache2P1L),
-    /// Physically and logically 2-D (512-byte blocks).
+    /// Physically 2-D (512-byte blocks): logically 2-D, or rows-only for
+    /// the 2P1L taxonomy ablation.
     L2P2L(Cache2P2L),
 }
 
@@ -42,12 +41,6 @@ impl From<Cache1P2L> for LevelKind {
     }
 }
 
-impl From<Cache2P1L> for LevelKind {
-    fn from(c: Cache2P1L) -> LevelKind {
-        LevelKind::L2P1L(c)
-    }
-}
-
 impl From<Cache2P2L> for LevelKind {
     fn from(c: Cache2P2L) -> LevelKind {
         LevelKind::L2P2L(c)
@@ -60,7 +53,6 @@ macro_rules! dispatch {
         match $self {
             LevelKind::L1P1L($inner) => $body,
             LevelKind::L1P2L($inner) => $body,
-            LevelKind::L2P1L($inner) => $body,
             LevelKind::L2P2L($inner) => $body,
         }
     };
@@ -122,7 +114,7 @@ mod tests {
         vec![
             Cache1P1L::new(cfg).into(),
             Cache1P2L::new(cfg, SetMapping::DifferentSet).into(),
-            Cache2P1L::new(big).into(),
+            Cache2P2L::rows_only(big).into(),
             Cache2P2L::new(big).into(),
         ]
     }

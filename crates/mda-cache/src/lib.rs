@@ -10,7 +10,9 @@
 //!   *Different-Set* or *Same-Set* index mapping.
 //! * [`Cache2P2L`] — physically 2-D (on-chip crosspoint, STT): allocates
 //!   512-byte 2-D blocks, fills them sparsely (or densely, as an ablation),
-//!   and needs no orientation metadata or duplication handling.
+//!   and needs no orientation metadata or duplication handling. Its
+//!   rows-only mode ([`Cache2P2L::rows_only`]) is the 2P1L taxonomy point
+//!   (Sec. IV-A): the same block array serving row lines only.
 //!
 //! All three implement [`CacheLevel`], the interface the `mda-sim`
 //! hierarchy drives. Lookups are *functional + timing-annotated*: a probe
@@ -32,7 +34,6 @@
 
 pub mod cache_1p1l;
 pub mod cache_1p2l;
-pub mod cache_2p1l;
 pub mod cache_2p2l;
 pub mod config;
 pub mod inline_vec;
@@ -46,7 +47,6 @@ pub mod stats;
 
 pub use cache_1p1l::Cache1P1L;
 pub use cache_1p2l::Cache1P2L;
-pub use cache_2p1l::Cache2P1L;
 pub use cache_2p2l::Cache2P2L;
 pub use config::{CacheConfig, SetMapping};
 pub use inline_vec::InlineVec;

@@ -41,9 +41,14 @@ pub struct CacheStats {
     pub mshr_coalesced: u64,
     /// Stalls because all MSHRs were busy.
     pub mshr_stalls: u64,
-    /// Bytes requested from the level below (fills).
+    /// Bytes requested from the level below: one line per demand miss
+    /// and per prefetch fill. A dense 2P2L miss fetches up to eight lines
+    /// but still counts one, so at a dense LLC this is less than the
+    /// memory's `bytes_read`.
     pub bytes_from_below: u64,
-    /// Bytes written back to the level below.
+    /// Bytes of dirty words written back into the cache level below.
+    /// Writebacks into memory are not counted, so the LLC's value is
+    /// always 0; see the memory's `bytes_written` instead.
     pub bytes_to_below: u64,
 }
 

@@ -23,6 +23,7 @@ fn all_designs() -> Vec<(&'static str, Box<dyn CacheLevel>)> {
         ("1P2L-same", Box::new(Cache1P2L::new(cfg(8192), SetMapping::SameSet))),
         ("2P2L", Box::new(Cache2P2L::new(tile_cfg))),
         ("2P2L-dense", Box::new(Cache2P2L::with_fill_policy(tile_cfg, false))),
+        ("2P1L", Box::new(Cache2P2L::rows_only(tile_cfg))),
     ]
 }
 
@@ -110,7 +111,7 @@ fn stats_classify_accesses_identically() {
     // All designs see the same access mix classification (it depends only
     // on the access stream, not on hits/misses).
     for (name, mut cache) in all_designs() {
-        if name == "1P1L" {
+        if name == "1P1L" || name == "2P1L" {
             continue; // cannot serve column vectors
         }
         demand(cache.as_mut(), &Access::scalar_read(WordAddr(0), Orientation::Row, 0));

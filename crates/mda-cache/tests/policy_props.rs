@@ -192,21 +192,35 @@ proptest! {
         prop_assert_eq!(cols, enum_cols);
     }
 
-    /// The 2P2L block cache survives random workouts under both fill
-    /// policies. The real teeth are the `debug_assert_dirty_implies_valid`
-    /// hooks inside `Cache2P2L` (mirroring the model checker's
-    /// `DirtyInvalidLine` invariant), which fire on every probe/fill/absorb
-    /// in this debug-built test; externally we re-check that occupancy
-    /// accounting matches the line enumeration after every step.
+    /// The 2P2L block cache survives random workouts in all three modes
+    /// (sparse, dense, rows-only). The real teeth are the
+    /// `debug_assert_dirty_implies_valid` hooks inside `Cache2P2L`
+    /// (mirroring the model checker's `DirtyInvalidLine` invariant), which
+    /// fire on every probe/fill/absorb in this debug-built test; externally
+    /// we re-check that occupancy accounting matches the line enumeration
+    /// after every step.
     #[test]
     fn block_cache_survives_random_workouts(
         steps in proptest::collection::vec(step_strategy(4), 1..120),
-        sparse in any::<bool>(),
+        mode in 0u8..3,
     ) {
         let mut cfg = CacheConfig::l3(16 * 1024);
         cfg.assoc = 8;
-        let mut cache = Cache2P2L::with_fill_policy(cfg, sparse);
+        let rows_only = mode == 2;
+        let mut cache = match mode {
+            0 => Cache2P2L::new(cfg),
+            1 => Cache2P2L::with_fill_policy(cfg, false),
+            _ => Cache2P2L::rows_only(cfg),
+        };
         for step in steps {
+            let col_vector = matches!(
+                step,
+                Step::VectorRead { orient: Orientation::Col, .. }
+                    | Step::VectorWrite { orient: Orientation::Col, .. }
+            );
+            if rows_only && col_vector {
+                continue; // a rows-only (2P1L) cache cannot serve column vectors
+            }
             apply(&mut cache, step);
             let (rows, cols, _) = cache.occupancy();
             let lines = cache.lines();

@@ -283,19 +283,26 @@ pub struct OpCounts {
     pub bytes: u64,
 }
 
+impl OpCounts {
+    /// Counts one trace element.
+    pub fn record(&mut self, op: &TraceOp) {
+        match op {
+            TraceOp::Mem(m) => {
+                self.mem_ops += 1;
+                self.bytes += m.bytes();
+                if m.vector {
+                    self.vector_mem_ops += 1;
+                }
+            }
+            TraceOp::Compute(n) => self.compute_uops += u64::from(*n),
+        }
+    }
+}
+
 /// Runs generation just to count operations.
 pub fn count_ops(src: &dyn TraceSource, opts: &CodegenOptions) -> OpCounts {
     let mut c = OpCounts::default();
-    src.generate(opts, &mut |op| match op {
-        TraceOp::Mem(m) => {
-            c.mem_ops += 1;
-            c.bytes += m.bytes();
-            if m.vector {
-                c.vector_mem_ops += 1;
-            }
-        }
-        TraceOp::Compute(n) => c.compute_uops += u64::from(n),
-    });
+    src.generate(opts, &mut |op| c.record(&op));
     c
 }
 

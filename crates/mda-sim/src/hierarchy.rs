@@ -54,26 +54,16 @@ impl Hierarchy {
     /// # Panics
     /// Panics if no levels are supplied.
     pub fn new(
-        levels: Vec<LevelKind>,
+        mut levels: Vec<LevelKind>,
         prefetcher: Option<StridePrefetcher>,
         mem: MainMemory,
     ) -> Hierarchy {
-        assert!(!levels.is_empty(), "hierarchy needs at least one cache level");
-        // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
-        let mshrs = levels.iter().map(|l| Mshr::new(l.config().mshrs)).collect();
-        // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
-        let path = (0..levels.len()).collect();
-        let probes = vec![Probe::hit(); levels.len()];
-        Hierarchy {
-            levels,
-            mshrs,
-            paths: vec![path],
-            prefetchers: vec![prefetcher],
-            mem,
-            // mda-lint: allow(hot-path-alloc): empty pool; demand-path buffers are recycled
-            scratch: Vec::new(),
-            probes,
-        }
+        // One core whose private levels are everything above the LLC.
+        let Some(llc) = levels.pop() else {
+            // mda-lint: allow(lib-unwrap): documented `# Panics` contract rejecting an empty level list
+            panic!("hierarchy needs at least one cache level");
+        };
+        Hierarchy::multicore(vec![levels], llc, vec![prefetcher], mem)
     }
 
     /// Builds a multi-programmed hierarchy: each core gets the private
@@ -91,23 +81,20 @@ impl Hierarchy {
     ) -> Hierarchy {
         assert!(!private_per_core.is_empty(), "need at least one core");
         assert_eq!(private_per_core.len(), prefetchers.len(), "one prefetcher slot per core");
-        // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
-        let mut levels: Vec<LevelKind> = Vec::new();
-        // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
-        let mut paths = Vec::new();
+        // The pool holds every private level in core order, then the LLC.
+        let llc_idx = private_per_core.iter().map(Vec::len).sum::<usize>();
+        let mut levels = Vec::with_capacity(llc_idx + 1);
+        let mut paths = Vec::with_capacity(private_per_core.len());
         for privates in private_per_core {
             let mut path = Vec::with_capacity(privates.len() + 1);
             for l in privates {
                 path.push(levels.len());
                 levels.push(l);
             }
+            path.push(llc_idx);
             paths.push(path);
         }
-        let llc_idx = levels.len();
         levels.push(shared_llc);
-        for p in &mut paths {
-            p.push(llc_idx);
-        }
         // mda-lint: allow(hot-path-alloc): constructor wiring, runs once per hierarchy
         let mshrs = levels.iter().map(|l| Mshr::new(l.config().mshrs)).collect();
         let probes = vec![Probe::hit(); levels.len()];

@@ -100,16 +100,7 @@ pub fn simulate_multicore(sources: &[&dyn TraceSource], cfg: &SystemConfig) -> M
     {
         let op = traces[idx].ops()[cursors[idx]];
         let op = offset_op(op, idx as u64 * CORE_ADDRESS_STRIDE);
-        match &op {
-            TraceOp::Mem(m) => {
-                counts[idx].mem_ops += 1;
-                counts[idx].bytes += m.bytes();
-                if m.vector {
-                    counts[idx].vector_mem_ops += 1;
-                }
-            }
-            TraceOp::Compute(n) => counts[idx].compute_uops += u64::from(*n),
-        }
+        counts[idx].record(&op);
         hierarchy.step_core(idx, &mut cores[idx], &op);
         cursors[idx] += 1;
         if cursors[idx] == traces[idx].ops().len() {

@@ -17,25 +17,14 @@ pub fn simulate(src: &dyn TraceSource, cfg: &SystemConfig) -> SimReport {
     let mut core = Core::new(cfg.core);
     let mut ops = OpCounts::default();
     let mut occupancy = OccupancyTimeline::new();
-    let mut mem_ops_seen = 0u64;
     let sample_every = cfg.occupancy_every;
     // Reused across samples so the hot trace loop never allocates.
     let mut snapshot: Vec<(usize, usize, usize)> = Vec::new();
 
     src.generate(&cfg.codegen, &mut |op| {
-        match &op {
-            TraceOp::Mem(m) => {
-                ops.mem_ops += 1;
-                ops.bytes += m.bytes();
-                if m.vector {
-                    ops.vector_mem_ops += 1;
-                }
-                mem_ops_seen += 1;
-            }
-            TraceOp::Compute(n) => ops.compute_uops += u64::from(*n),
-        }
+        ops.record(&op);
         hierarchy.step(&mut core, &op);
-        if sample_every > 0 && matches!(op, TraceOp::Mem(_)) && mem_ops_seen.is_multiple_of(sample_every) {
+        if sample_every > 0 && matches!(op, TraceOp::Mem(_)) && ops.mem_ops.is_multiple_of(sample_every) {
             snapshot.clear();
             snapshot.extend(hierarchy.levels().iter().map(|l| l.occupancy()));
             occupancy.record(core.now(), &snapshot);

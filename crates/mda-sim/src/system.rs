@@ -4,8 +4,7 @@
 use crate::core::CoreConfig;
 use crate::hierarchy::Hierarchy;
 use mda_cache::{
-    Cache1P1L, Cache1P2L, Cache2P1L, Cache2P2L, CacheConfig, LevelKind, SetMapping,
-    StridePrefetcher,
+    Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, LevelKind, SetMapping, StridePrefetcher,
 };
 use mda_compiler::CodegenOptions;
 use mda_mem::{ConfigError, FaultConfig, MainMemory, MemConfig};
@@ -277,7 +276,7 @@ impl SystemConfig {
             }
             HierarchyKind::P2L2Sparse => Cache2P2L::new(llc_cfg).into(),
             HierarchyKind::P2L2Dense => Cache2P2L::with_fill_policy(llc_cfg, false).into(),
-            HierarchyKind::P2L1 => Cache2P1L::new(llc_cfg).into(),
+            HierarchyKind::P2L1 => Cache2P2L::rows_only(llc_cfg).into(),
         });
 
         let prefetcher = self.kind.prefetches().then(|| StridePrefetcher::new(self.prefetch_degree));
