@@ -4,8 +4,6 @@
 //! ```text
 //! figures <experiment|all> [--scale tiny|scaled|paper] [--csv DIR]
 //!         [--jobs N] [--bench-timings]
-//! figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N]
-//!         [--only NAME]
 //!
 //! experiments: table1 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
 //!              ablation ext_tiling ext_multicore ext_energy
@@ -25,12 +23,6 @@
 //!
 //! --bench-timings additionally writes BENCH_harness.json with per-
 //! experiment wall-clock seconds, cell counts and the worker count.
-//!
-//! --bench-sim measures steady-state simulator throughput (trace mem-ops
-//! per wall-clock second) for every design × kernel cell and writes
-//! BENCH_sim.json. --smoke shrinks it to tiny scale × 1 rep for CI.
-//! --only NAME keeps only the cells whose `design/kernel` label contains
-//! NAME.
 //! ```
 
 use mda_bench::experiments::{self, Experiment};
@@ -40,8 +32,7 @@ use std::time::Instant;
 fn usage() -> ! {
     let names: Vec<&str> = experiments::ALL.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: figures <{}|all> [--scale tiny|scaled|paper] [--csv DIR] [--jobs N] [--bench-timings]\n\
-         \x20      figures --bench-sim [--smoke] [--scale tiny|scaled|paper] [--reps N] [--only NAME]",
+        "usage: figures <{}|all> [--scale tiny|scaled|paper] [--csv DIR] [--jobs N] [--bench-timings]",
         names.join("|")
     );
     std::process::exit(2);
@@ -67,10 +58,6 @@ fn main() {
     let mut targets: Vec<String> = Vec::new();
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut bench_entries: Option<Vec<String>> = None;
-    let mut bench_sim = false;
-    let mut smoke = false;
-    let mut only: Option<String> = None;
-    let mut reps: u32 = 3;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -99,43 +86,9 @@ fn main() {
                 }
             }
             "--bench-timings" => bench_entries = Some(Vec::new()),
-            "--bench-sim" => bench_sim = true,
-            "--smoke" => smoke = true,
-            "--only" => {
-                let Some(v) = it.next() else { usage() };
-                only = Some(v);
-            }
-            "--reps" => {
-                let Some(v) = it.next() else { usage() };
-                match v.parse::<u32>() {
-                    Ok(n) if n > 0 => reps = n,
-                    _ => {
-                        eprintln!("--reps expects a positive integer, got '{v}'");
-                        usage()
-                    }
-                }
-            }
             "--help" | "-h" => usage(),
             other => targets.push(other.to_string()),
         }
-    }
-    if bench_sim {
-        if smoke {
-            scale = Scale::Tiny;
-            reps = 1;
-        }
-        eprintln!("bench-sim: scale {scale}, {reps} rep(s) per cell\n");
-        let report = mda_bench::bench_sim::run_filtered(scale, reps, only.as_deref());
-        println!("{}", report.render());
-        let path = "BENCH_sim.json";
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("error: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
     }
     if targets.is_empty() {
         usage();

@@ -22,7 +22,9 @@ use mda_sim::multicore::simulate_multicore;
 use mda_sim::HierarchyKind;
 use mda_workloads::Kernel;
 
-/// The four-program mix (kept to trace-buffer-friendly kernels).
+/// The four-program mix: two column-dominant sobel copies around the two
+/// HTAP mixes, so row and column traffic from different programs meets at
+/// the shared LLC and the memory banks.
 pub const MIX: [Kernel; 4] = [Kernel::Sobel, Kernel::Htap1, Kernel::Htap2, Kernel::Sobel];
 
 /// The designs compared.

@@ -17,7 +17,6 @@
 //!   working-set-to-capacity ratios at 4× reduction)
 //! * `paper`  — 512×512 inputs against the full Table I machine (slow)
 
-pub mod bench_sim;
 pub mod chart;
 pub mod experiments;
 pub mod parallel;

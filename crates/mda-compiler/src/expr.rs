@@ -102,11 +102,6 @@ impl AffineExpr {
         acc
     }
 
-    /// Variables referenced by the expression.
-    pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.terms.iter().map(|&(v, _)| v)
-    }
-
     /// Returns the expression with every variable `v` replaced by `f(v)`
     /// (used by loop transformations that renumber the nest).
     pub fn remap_vars(&self, mut f: impl FnMut(VarId) -> VarId) -> AffineExpr {

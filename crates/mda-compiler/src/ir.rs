@@ -69,12 +69,6 @@ impl ArrayRef {
     pub fn is_write(&self) -> bool {
         self.kind == RefKind::Write
     }
-
-    /// Returns the reference with a profiling-supplied direction hint.
-    pub fn with_hint(mut self, orient: mda_mem::Orientation) -> ArrayRef {
-        self.hint = Some(orient);
-        self
-    }
 }
 
 /// One loop `for v in lo..hi` (step 1). Bounds may reference outer loop

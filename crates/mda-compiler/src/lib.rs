@@ -53,6 +53,6 @@ pub use ir::{ArrayId, ArrayRef, Loop, LoopNest, Program};
 pub use layout::{ArrayLayout, Layout, LayoutKind};
 pub use reuse::{ReuseGranularity, ReuseProfile};
 pub use tiling::{tile, tile_program, TileError};
-pub use trace::{MemOp, TraceOp, TraceSource};
+pub use trace::{MemOp, TraceCursor, TraceOp, TraceSource};
 pub use tracefile::{write_trace, RecordedTrace};
 pub use vectorize::CodegenOptions;

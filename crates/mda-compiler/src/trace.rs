@@ -2,13 +2,15 @@
 //! MDA ISA (paper Sec. IV-B-a: every scalar or SIMD memory operation has a
 //! row- and a column-preference variant).
 //!
-//! Generation is *streaming*: ops are pushed into a caller-provided sink so
-//! that traces of hundreds of millions of operations never materialize in
-//! memory. Loop-invariant references are register-promoted around the
-//! innermost loop (reads before it, writes after it); vectorized nests emit
-//! one line-wide memory operation per reference per eight iterations, with
-//! scalar pro-/epilogues wherever a chunk is not line-aligned (triangular
-//! bounds, unaligned lower bounds, negative strides).
+//! Generation is *pull-based*: a [`TraceCursor`] hands out one batch at a
+//! time (for a [`Program`], one execution of a nest's innermost loop), so
+//! traces of hundreds of millions of operations never materialize in
+//! memory and several traces can be interleaved. Loop-invariant references
+//! are register-promoted around the innermost loop (reads before it, writes
+//! after it); vectorized nests emit one line-wide memory operation per
+//! reference per eight iterations, with scalar pro-/epilogues wherever a
+//! chunk is not line-aligned (triangular bounds, unaligned lower bounds,
+//! negative strides).
 
 use crate::analysis::Direction;
 use crate::ir::{ArrayRef, LoopNest, Program, RefKind};
@@ -52,6 +54,16 @@ pub enum TraceOp {
     Compute(u32),
 }
 
+/// A pull-based position in a trace. Each call hands over the next batch
+/// of operations in a caller-owned buffer, so several traces can be
+/// interleaved op by op without any of them being held whole in memory.
+pub trait TraceCursor {
+    /// Replaces the contents of `batch` with the next non-empty batch of
+    /// operations; returns `false`, leaving `batch` empty, once the trace
+    /// is exhausted.
+    fn next_batch(&mut self, batch: &mut Vec<TraceOp>) -> bool;
+}
+
 /// Anything that can produce a trace for a given code-generation target:
 /// compiled [`Program`]s, and the hand-rolled HTAP generators in
 /// `mda-workloads`.
@@ -59,8 +71,17 @@ pub trait TraceSource {
     /// Workload name (for reports).
     fn name(&self) -> &str;
 
-    /// Streams the trace into `sink`.
-    fn generate(&self, opts: &CodegenOptions, sink: &mut dyn FnMut(TraceOp));
+    /// Opens a cursor at the start of the trace for `opts`.
+    fn cursor(&self, opts: &CodegenOptions) -> Box<dyn TraceCursor + '_>;
+
+    /// Streams the whole trace into `sink`, one batch at a time.
+    fn generate(&self, opts: &CodegenOptions, sink: &mut dyn FnMut(TraceOp)) {
+        let mut cursor = self.cursor(opts);
+        let mut batch = Vec::new();
+        while cursor.next_batch(&mut batch) {
+            batch.iter().for_each(|op| sink(*op));
+        }
+    }
 
     /// Padded data footprint under the target layout, in bytes.
     fn footprint_bytes(&self, opts: &CodegenOptions) -> u64;
@@ -71,20 +92,14 @@ impl TraceSource for Program {
         Program::name(self)
     }
 
-    fn generate(&self, opts: &CodegenOptions, sink: &mut dyn FnMut(TraceOp)) {
-        let layout = Layout::plan(self, opts.layout);
-        for nest in self.nests() {
-            let plan = plan_nest(nest, opts);
-            let mut walker = Walker {
-                nest,
-                plan: &plan,
-                layout: &layout,
-                opts,
-                sink,
-                idx: vec![0; nest.depth()],
-            };
-            walker.walk(0);
-        }
+    fn cursor(&self, opts: &CodegenOptions) -> Box<dyn TraceCursor + '_> {
+        let mut pending = self.nests().iter();
+        let Some(nest) = pending.next() else {
+            // No nests: an empty trace.
+            return Box::new(<[TraceOp]>::chunks(&[], 1));
+        };
+        let (plan, layout) = (plan_nest(nest, opts), Layout::plan(self, opts.layout));
+        Box::new(Walker { pending, nest, plan, layout, opts: *opts, idx: Vec::new() })
     }
 
     fn footprint_bytes(&self, opts: &CodegenOptions) -> u64 {
@@ -103,34 +118,66 @@ fn effective_direction(r: &ArrayRef, depth: usize) -> Direction {
         match (row_c, col_c) {
             (0, 0) => continue,
             (0, _) => return Direction::Row,
-            (_, 0) => return Direction::Col,
-            (_, _) => return Direction::Col,
+            _ => return Direction::Col,
         }
     }
     Direction::Row
 }
 
+/// The cursor over a [`Program`]'s trace: one batch per execution of a
+/// nest's innermost loop. The outer loops advance as an odometer over
+/// `idx`, in the order a recursive walk visits them, and each loop's
+/// (possibly triangular) bounds are evaluated from the loops outside it.
 struct Walker<'a> {
+    /// Nests not yet entered.
+    pending: std::slice::Iter<'a, LoopNest>,
     nest: &'a LoopNest,
-    plan: &'a NestPlan,
-    layout: &'a Layout,
-    opts: &'a CodegenOptions,
-    sink: &'a mut dyn FnMut(TraceOp),
+    plan: NestPlan,
+    layout: Layout,
+    opts: CodegenOptions,
+    /// The loop variables; empty until the nest's first batch.
     idx: Vec<i64>,
 }
 
-impl Walker<'_> {
-    fn walk(&mut self, depth: usize) {
-        let innermost = self.nest.innermost();
-        let lo = self.nest.loops[depth].lo.eval(&self.idx);
-        let hi = self.nest.loops[depth].hi.eval(&self.idx);
-        if depth == innermost {
-            self.emit_innermost(lo, hi);
-            return;
+impl TraceCursor for Walker<'_> {
+    fn next_batch(&mut self, out: &mut Vec<TraceOp>) -> bool {
+        out.clear();
+        while out.is_empty() {
+            if self.advance() {
+                self.emit_innermost(out);
+            } else {
+                let Some(nest) = self.pending.next() else { return false };
+                (self.nest, self.plan, self.idx) = (nest, plan_nest(nest, &self.opts), Vec::new());
+            }
         }
-        for v in lo..hi {
-            self.idx[depth] = v;
-            self.walk(depth + 1);
+        true
+    }
+}
+
+impl Walker<'_> {
+    /// Moves `idx` to the nest's next innermost-loop execution; returns
+    /// `false` once every outer loop is done.
+    fn advance(&mut self) -> bool {
+        let nest = self.nest;
+        let inner = nest.innermost();
+        // Each pass either enters loop `k` at its lower bound or steps the
+        // loop enclosing `k` (once `k`'s loop is empty or done).
+        let mut enter = self.idx.is_empty();
+        let mut k = if enter { 0 } else { inner };
+        self.idx.resize(nest.depth(), 0);
+        loop {
+            if enter && k == inner {
+                return true;
+            } else if enter {
+                self.idx[k] = nest.loops[k].lo.eval(&self.idx);
+            } else if k == 0 {
+                return false;
+            } else {
+                k -= 1;
+                self.idx[k] += 1;
+            }
+            enter = self.idx[k] < nest.loops[k].hi.eval(&self.idx);
+            k += usize::from(enter);
         }
     }
 
@@ -141,23 +188,20 @@ impl Walker<'_> {
         self.layout.of(r.array).addr(i as u64, j as u64)
     }
 
-    fn emit_scalar(&mut self, r: &ArrayRef, dir: Direction) {
-        let op = MemOp {
+    fn emit_scalar(&self, r: &ArrayRef, dir: Direction, out: &mut Vec<TraceOp>) {
+        out.push(TraceOp::Mem(MemOp {
             word: self.addr_of(r),
             orient: dir.orientation(),
             vector: false,
             write: r.is_write(),
             stream: r.stream,
-        };
-        (self.sink)(TraceOp::Mem(op));
+        }));
     }
 
-    fn emit_invariants(&mut self, kind: RefKind) {
-        let depth = self.nest.depth();
+    fn emit_invariants(&self, kind: RefKind, out: &mut Vec<TraceOp>) {
         for (r, a) in self.nest.refs.iter().zip(&self.plan.refs) {
             if a.direction == Direction::Invariant && r.kind == kind {
-                let dir = effective_direction(r, depth);
-                self.emit_scalar(r, dir);
+                self.emit_scalar(r, effective_direction(r, self.nest.depth()), out);
             }
         }
     }
@@ -184,18 +228,14 @@ impl Walker<'_> {
     /// chunk covers exactly one line — for ascending *or* descending unit
     /// strides (0 when already aligned or undecidable).
     fn peel_for_alignment(&mut self, lo: i64, hi: i64) -> i64 {
-        let lead = self
-            .plan
-            .refs
-            .iter()
-            .position(|a| a.direction != Direction::Invariant);
+        let lead = self.plan.refs.iter().position(|a| a.direction != Direction::Invariant);
         let Some(ri) = lead else { return 0 };
-        let (r, dir) = (self.nest.refs[ri].clone(), self.plan.refs[ri].direction);
+        let (r, dir) = (&self.nest.refs[ri], self.plan.refs[ri].direction);
         for peel in 0..LINE_WORDS as i64 {
             if lo + peel + LINE_WORDS as i64 > hi {
                 break;
             }
-            let (_, straddle) = self.vector_lines(&r, dir, lo + peel);
+            let (_, straddle) = self.vector_lines(r, dir, lo + peel);
             if straddle.is_none() {
                 return peel;
             }
@@ -203,15 +243,19 @@ impl Walker<'_> {
         0
     }
 
-    fn emit_innermost(&mut self, lo: i64, hi: i64) {
+    /// Emits one execution of the innermost loop at the current `idx`.
+    fn emit_innermost(&mut self, out: &mut Vec<TraceOp>) {
+        let nest = self.nest;
+        let innermost = nest.innermost();
+        let lo = nest.loops[innermost].lo.eval(&self.idx);
+        let hi = nest.loops[innermost].hi.eval(&self.idx);
         if hi <= lo {
             return;
         }
-        let innermost = self.nest.innermost();
-        let flops = self.nest.flops_per_iter;
+        let flops = nest.flops_per_iter;
         let overhead = self.opts.loop_overhead;
 
-        self.emit_invariants(RefKind::Read);
+        self.emit_invariants(RefKind::Read, out);
 
         let peel = if self.plan.vectorized { self.peel_for_alignment(lo, hi) } else { 0 };
         let mut v = lo;
@@ -219,54 +263,46 @@ impl Walker<'_> {
             let vectorize =
                 self.plan.vectorized && v >= lo + peel && v + LINE_WORDS as i64 <= hi;
             if vectorize {
-                for ri in 0..self.nest.refs.len() {
+                for (ri, r) in nest.refs.iter().enumerate() {
                     let a = self.plan.refs[ri];
                     if a.direction == Direction::Invariant {
                         continue;
                     }
-                    let r = self.nest.refs[ri].clone();
-                    let (first, second) = self.vector_lines(&r, a.direction, v);
+                    let (first, second) = self.vector_lines(r, a.direction, v);
                     if r.is_write() && second.is_some() {
                         // A straddling vector store would dirty two full
                         // lines; emit the masked store as scalars instead.
                         for lane in 0..LINE_WORDS as i64 {
                             self.idx[innermost] = v + lane;
-                            self.emit_scalar(&r, a.direction);
+                            self.emit_scalar(r, a.direction, out);
                         }
                     } else {
                         for line in std::iter::once(first).chain(second) {
-                            let op = MemOp {
+                            out.push(TraceOp::Mem(MemOp {
                                 word: line.word_at(0),
                                 orient: line.orient,
                                 vector: true,
                                 write: r.is_write(),
                                 stream: r.stream,
-                            };
-                            (self.sink)(TraceOp::Mem(op));
+                            }));
                         }
                     }
                 }
-                if flops + overhead > 0 {
-                    (self.sink)(TraceOp::Compute(flops + overhead));
-                }
-                v += LINE_WORDS as i64;
             } else {
                 self.idx[innermost] = v;
-                for (ri, a) in self.plan.refs.iter().enumerate() {
-                    if a.direction == Direction::Invariant {
-                        continue;
+                for (r, a) in nest.refs.iter().zip(&self.plan.refs) {
+                    if a.direction != Direction::Invariant {
+                        self.emit_scalar(r, a.direction, out);
                     }
-                    let r = self.nest.refs[ri].clone();
-                    self.emit_scalar(&r, a.direction);
                 }
-                if flops + overhead > 0 {
-                    (self.sink)(TraceOp::Compute(flops + overhead));
-                }
-                v += 1;
             }
+            if flops + overhead > 0 {
+                out.push(TraceOp::Compute(flops + overhead));
+            }
+            v += if vectorize { LINE_WORDS as i64 } else { 1 };
         }
 
-        self.emit_invariants(RefKind::Write);
+        self.emit_invariants(RefKind::Write, out);
     }
 }
 

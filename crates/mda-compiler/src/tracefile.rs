@@ -13,7 +13,7 @@
 //!                 µop count and the other flag bits are zero)
 //! ```
 
-use crate::trace::{MemOp, TraceOp, TraceSource};
+use crate::trace::{MemOp, TraceCursor, TraceOp, TraceSource};
 use crate::vectorize::CodegenOptions;
 use mda_mem::{Orientation, WordAddr};
 use std::io::{self, Read, Write};
@@ -60,37 +60,24 @@ pub fn write_trace<W: Write>(
     out.write_all(&VERSION.to_le_bytes())?;
     out.write_all(&count.to_le_bytes())?;
 
-    let mut io_err: Option<io::Error> = None;
-    src.generate(opts, &mut |op| {
-        if io_err.is_some() {
-            return;
+    let (mut cursor, mut batch) = (src.cursor(opts), Vec::new());
+    while cursor.next_batch(&mut batch) {
+        for op in &batch {
+            let (addr, stream, flags) = match *op {
+                TraceOp::Compute(n) => (u64::from(n), 0u32, FLAG_COMPUTE),
+                TraceOp::Mem(m) => {
+                    let flags = if m.orient == Orientation::Col { FLAG_COL } else { 0 }
+                        | if m.vector { FLAG_VECTOR } else { 0 }
+                        | if m.write { FLAG_WRITE } else { 0 };
+                    (m.word.byte_addr(), m.stream, flags)
+                }
+            };
+            let mut rec = [0u8; 16];
+            rec[..8].copy_from_slice(&addr.to_le_bytes());
+            rec[8..12].copy_from_slice(&stream.to_le_bytes());
+            rec[12] = flags;
+            out.write_all(&rec)?;
         }
-        let (addr, stream, flags) = match op {
-            TraceOp::Compute(n) => (u64::from(n), 0u32, FLAG_COMPUTE),
-            TraceOp::Mem(m) => {
-                let mut flags = 0u8;
-                if m.orient == Orientation::Col {
-                    flags |= FLAG_COL;
-                }
-                if m.vector {
-                    flags |= FLAG_VECTOR;
-                }
-                if m.write {
-                    flags |= FLAG_WRITE;
-                }
-                (m.word.byte_addr(), m.stream, flags)
-            }
-        };
-        let mut rec = [0u8; 16];
-        rec[..8].copy_from_slice(&addr.to_le_bytes());
-        rec[8..12].copy_from_slice(&stream.to_le_bytes());
-        rec[12] = flags;
-        if let Err(e) = out.write_all(&rec) {
-            io_err = Some(e);
-        }
-    });
-    if let Some(e) = io_err {
-        return Err(e);
     }
     out.flush()?;
     Ok(count)
@@ -106,26 +93,6 @@ pub struct RecordedTrace {
 }
 
 impl RecordedTrace {
-    /// Captures `src`'s trace under `opts` directly into memory (no
-    /// serialization round trip) — used by the multi-programmed simulator,
-    /// which needs pull-based interleaving of several traces.
-    pub fn capture(src: &dyn TraceSource, opts: &CodegenOptions) -> RecordedTrace {
-        let mut ops = Vec::new();
-        let mut footprint = 0u64;
-        src.generate(opts, &mut |op| {
-            if let TraceOp::Mem(m) = &op {
-                footprint = footprint.max(m.word.byte_addr() + mda_mem::LINE_BYTES);
-            }
-            ops.push(op);
-        });
-        RecordedTrace { name: src.name().to_string(), ops, footprint }
-    }
-
-    /// The recorded operations.
-    pub fn ops(&self) -> &[TraceOp] {
-        &self.ops
-    }
-
     /// Reads a trace written by [`write_trace`].
     ///
     /// # Errors
@@ -192,14 +159,22 @@ impl TraceSource for RecordedTrace {
         &self.name
     }
 
-    fn generate(&self, _opts: &CodegenOptions, sink: &mut dyn FnMut(TraceOp)) {
-        for op in &self.ops {
-            sink(*op);
-        }
+    fn cursor(&self, _opts: &CodegenOptions) -> Box<dyn TraceCursor + '_> {
+        Box::new(self.ops.chunks(REPLAY_BATCH))
     }
 
     fn footprint_bytes(&self, _opts: &CodegenOptions) -> u64 {
         self.footprint
+    }
+}
+
+/// A recorded trace replays in chunks of this many operations.
+const REPLAY_BATCH: usize = 1024;
+
+impl TraceCursor for std::slice::Chunks<'_, TraceOp> {
+    fn next_batch(&mut self, batch: &mut Vec<TraceOp>) -> bool {
+        batch.clear();
+        self.next().map(|chunk| batch.extend_from_slice(chunk)).is_some()
     }
 }
 

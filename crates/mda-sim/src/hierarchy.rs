@@ -11,11 +11,13 @@
 //! 1P2L probes — MSHR stalls, bus/bank reservations, critical-word-first
 //! memory access, and the on-chip-NVM write penalty of a 2P2L level).
 //!
-//! The same driver serves single-core and **multi-programmed** systems: the
-//! levels live in one pool and each core owns a *path* (a sequence of pool
-//! indices from its private L1 down to the shared LLC), so a shared level
-//! naturally appears on several paths. Multi-programmed mode backs the
-//! paper's Sec. IX-B discussion of parallel workloads.
+//! Every hierarchy is a **multi-programmed** one, and a single-core system
+//! is its one-core case: the levels live in one pool and each core owns a
+//! *path* (a sequence of pool indices from its private L1 down to the
+//! shared LLC), so a shared level naturally appears on several paths.
+//! `SystemConfig` builds both from one builder, and one simulation loop
+//! (`run.rs`) steps every core through [`Hierarchy::step`]. Several cores
+//! back the paper's Sec. IX-B discussion of parallel workloads.
 
 use crate::core::Core;
 use mda_cache::level::{Access, AccessWidth, Probe};
@@ -137,9 +139,8 @@ impl Hierarchy {
         &self.mem
     }
 
-    /// Decomposes a single-core hierarchy back into its level pool (used
-    /// by the multi-programmed builder to reuse the per-design level
-    /// construction).
+    /// Decomposes the hierarchy into its level pool, for callers that
+    /// drive the levels directly.
     pub fn into_levels(self) -> Vec<LevelKind> {
         self.levels
     }
@@ -389,22 +390,12 @@ impl Hierarchy {
         }
     }
 
-    /// Drives `core` (core 0) with one trace operation.
-    pub fn step(&mut self, core: &mut Core, op: &mda_compiler::TraceOp) {
-        self.step_core(0, core, op);
-    }
-
-    /// Drives core `idx` with one trace operation.
-    pub fn step_core(&mut self, idx: usize, core: &mut Core, op: &mda_compiler::TraceOp) {
+    /// Drives core `idx` (`core` is its execution state) with one trace
+    /// operation.
+    pub fn step(&mut self, idx: usize, core: &mut Core, op: &mda_compiler::TraceOp) {
         match op {
             mda_compiler::TraceOp::Compute(n) => core.issue_compute(*n),
-            mda_compiler::TraceOp::Mem(m) => {
-                let mut done = 0;
-                core.issue_mem(|at| {
-                    done = self.demand_from(idx, m, at);
-                    done
-                });
-            }
+            mda_compiler::TraceOp::Mem(m) => core.issue_mem(|at| self.demand_from(idx, m, at)),
         }
     }
 }
@@ -546,8 +537,9 @@ mod tests {
         let mut h = two_level_1p2l();
         let mut core = Core::new(crate::core::CoreConfig::paper());
         let line = LineKey::new(0, Orientation::Row, 0);
-        h.step(&mut core, &mda_compiler::TraceOp::Compute(4));
+        h.step(0, &mut core, &mda_compiler::TraceOp::Compute(4));
         h.step(
+            0,
             &mut core,
             &mda_compiler::TraceOp::Mem(op(line.word_at(0), Orientation::Row, false, false)),
         );

@@ -1,11 +1,108 @@
-//! The top-level simulation entry point.
+//! The simulation driver: one loop that feeds each core its workload's
+//! trace, pulled batch by batch from a [`TraceCursor`], over one shared
+//! hierarchy. [`simulate`] is its one-core case;
+//! [`crate::multicore::simulate_multicore`] runs one workload per core.
 
 use crate::core::Core;
 use crate::occupancy::OccupancyTimeline;
 use crate::report::SimReport;
 use crate::system::SystemConfig;
-use mda_cache::CacheLevel;
-use mda_compiler::trace::{OpCounts, TraceOp, TraceSource};
+use mda_cache::{CacheLevel, CacheStats};
+use mda_compiler::trace::{MemOp, OpCounts, TraceCursor, TraceOp, TraceSource};
+use mda_mem::{Cycle, MemStats, WordAddr};
+
+/// Word-address stride between the cores' address windows (tile-aligned;
+/// large enough that no two workloads' footprints can overlap). Core 0's
+/// window starts at 0, so a single-core run sees its trace unmoved.
+const CORE_ADDRESS_STRIDE: u64 = 1 << 40;
+
+/// One core, the cursor feeding it, and its progress.
+struct Lane<'a> {
+    cursor: Box<dyn TraceCursor + 'a>,
+    batch: Vec<TraceOp>,
+    /// Index of the next op of `batch` to issue.
+    next: usize,
+    core: Core,
+    ops: OpCounts,
+    /// Cycle at which the core retired its last µop, once `done`.
+    cycles: Cycle,
+    done: bool,
+}
+
+/// Everything a finished run reports.
+pub(crate) struct Run {
+    /// Per core: `(cycles, op counts)`.
+    pub per_core: Vec<(Cycle, OpCounts)>,
+    /// Statistics of every level in the pool (private levels in core
+    /// order, LLC last).
+    pub levels: Vec<CacheStats>,
+    /// Main-memory statistics.
+    pub mem: MemStats,
+    /// Occupancy of every level, sampled each `cfg.occupancy_every` memory
+    /// ops of the core that just issued one.
+    pub occupancy: OccupancyTimeline,
+}
+
+/// Runs `sources[i]` on core `i` of `cfg`'s hierarchy until every trace is
+/// exhausted. Each step advances the unfinished core with the smallest
+/// `now()` (ties go to the lowest index), so contention on the shared LLC,
+/// memory banks and write queues emerges in global time order. A core
+/// whose trace is exhausted is finished when it is next selected.
+pub(crate) fn drive(sources: &[&dyn TraceSource], cfg: &SystemConfig) -> Run {
+    let mut hierarchy = cfg.build(sources.len());
+    let mut lanes: Vec<Lane> = sources
+        .iter()
+        .map(|src| Lane {
+            cursor: src.cursor(&cfg.codegen),
+            batch: Vec::new(),
+            next: 0,
+            core: Core::new(cfg.core),
+            ops: OpCounts::default(),
+            cycles: 0,
+            done: false,
+        })
+        .collect();
+    let mut occupancy = OccupancyTimeline::new();
+    // Reused across samples so the trace loop never allocates for them.
+    let mut snapshot: Vec<(usize, usize, usize)> = Vec::new();
+
+    while let Some(idx) =
+        (0..lanes.len()).filter(|&i| !lanes[i].done).min_by_key(|&i| lanes[i].core.now())
+    {
+        let lane = &mut lanes[idx];
+        if lane.next == lane.batch.len() {
+            lane.next = 0;
+            if !lane.cursor.next_batch(&mut lane.batch) {
+                lane.cycles = lane.core.finish();
+                lane.done = true;
+                continue;
+            }
+        }
+        let op = match lane.batch[lane.next] {
+            TraceOp::Mem(m) => {
+                let word = WordAddr(m.word.0 + idx as u64 * CORE_ADDRESS_STRIDE);
+                TraceOp::Mem(MemOp { word, ..m })
+            }
+            compute => compute,
+        };
+        lane.next += 1;
+        lane.ops.record(&op);
+        hierarchy.step(idx, &mut lane.core, &op);
+        let every = cfg.occupancy_every;
+        if every > 0 && matches!(op, TraceOp::Mem(_)) && lane.ops.mem_ops.is_multiple_of(every) {
+            snapshot.clear();
+            snapshot.extend(hierarchy.levels().iter().map(|l| l.occupancy()));
+            occupancy.record(lane.core.now(), &snapshot);
+        }
+    }
+
+    Run {
+        per_core: lanes.iter().map(|l| (l.cycles, l.ops)).collect(),
+        levels: hierarchy.levels().iter().map(|l| *l.stats()).collect(),
+        mem: *hierarchy.memory().stats(),
+        occupancy,
+    }
+}
 
 /// Simulates `src` on the system described by `cfg`, consuming the trace
 /// the compiler generates for that system's code-generation target.
@@ -13,27 +110,8 @@ use mda_compiler::trace::{OpCounts, TraceOp, TraceSource};
 /// See the crate-level documentation for an end-to-end example; the
 /// `mdacache` facade crate shows the same flow against a real workload.
 pub fn simulate(src: &dyn TraceSource, cfg: &SystemConfig) -> SimReport {
-    let mut hierarchy = cfg.build_hierarchy();
-    let mut core = Core::new(cfg.core);
-    let mut ops = OpCounts::default();
-    let mut occupancy = OccupancyTimeline::new();
-    let sample_every = cfg.occupancy_every;
-    // Reused across samples so the hot trace loop never allocates.
-    let mut snapshot: Vec<(usize, usize, usize)> = Vec::new();
-
-    src.generate(&cfg.codegen, &mut |op| {
-        ops.record(&op);
-        hierarchy.step(&mut core, &op);
-        if sample_every > 0 && matches!(op, TraceOp::Mem(_)) && ops.mem_ops.is_multiple_of(sample_every) {
-            snapshot.clear();
-            snapshot.extend(hierarchy.levels().iter().map(|l| l.occupancy()));
-            occupancy.record(core.now(), &snapshot);
-        }
-    });
-
-    let cycles = core.finish();
-    let levels = hierarchy.levels().iter().map(|l| *l.stats()).collect();
-    let mem = *hierarchy.memory().stats();
+    let Run { per_core, levels, mem, occupancy } = drive(&[src], cfg);
+    let (cycles, ops) = per_core[0];
     SimReport {
         workload: src.name().to_string(),
         design: cfg.kind.name().to_string(),

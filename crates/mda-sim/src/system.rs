@@ -237,39 +237,49 @@ impl SystemConfig {
         2 + usize::from(self.l3.is_some())
     }
 
-    /// Builds the hierarchy this configuration describes.
+    /// Builds the single-core hierarchy this configuration describes.
     ///
     /// # Panics
     /// Panics if [`SystemConfig::validate`] rejects the configuration;
     /// validate explicitly first to handle the error gracefully.
     pub fn build_hierarchy(&self) -> Hierarchy {
+        self.build(1)
+    }
+
+    /// Builds `cores` copies of this configuration's private levels, each
+    /// core with its own prefetcher, in front of one LLC and one main
+    /// memory. With a two-level configuration the L2 is the LLC.
+    ///
+    /// # Panics
+    /// Panics if [`SystemConfig::validate`] rejects the configuration or
+    /// `cores` is zero.
+    pub(crate) fn build(&self, cores: usize) -> Hierarchy {
         if let Err(e) = self.validate() {
             // mda-lint: allow(lib-unwrap): documented `# Panics` contract rejecting invalid configs
             panic!("invalid SystemConfig: {e}");
         }
-        let mut non_llc = vec![self.l1, self.l2];
-        let llc_cfg = match self.l3 {
-            Some(l3) => l3,
-            // mda-lint: allow(lib-unwrap): structural invariant; validate() requires at least two levels
-            None => non_llc.pop().expect("two-level system keeps L1"),
+        let caches = [self.l1, self.l2];
+        let (private, mut llc_cfg) = match self.l3 {
+            Some(l3) => (&caches[..], l3),
+            None => (&caches[..1], self.l2),
         };
-
-        let mut levels: Vec<LevelKind> = Vec::new();
         let mapping = match self.kind {
             HierarchyKind::P1L2SameSet => SetMapping::SameSet,
             _ => SetMapping::DifferentSet,
         };
-        for cfg in &non_llc {
-            levels.push(match self.kind {
-                HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => {
-                    Cache1P1L::new(*cfg).into()
-                }
+        let private_level = |cfg: &CacheConfig| -> LevelKind {
+            match self.kind {
+                HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => Cache1P1L::new(*cfg).into(),
                 _ => Cache1P2L::new(*cfg, mapping).into(),
-            });
-        }
-        let mut llc_cfg = llc_cfg;
+            }
+        };
+        let privates = (0..cores).map(|_| private.iter().map(private_level).collect()).collect();
+        let prefetchers = (0..cores)
+            .map(|_| self.kind.prefetches().then(|| StridePrefetcher::new(self.prefetch_degree)))
+            .collect();
+
         llc_cfg.write_penalty = self.llc_write_penalty;
-        levels.push(match self.kind {
+        let llc = match self.kind {
             HierarchyKind::Baseline1P1L => Cache1P1L::new(llc_cfg).into(),
             HierarchyKind::P1L2DifferentSet | HierarchyKind::P1L2SameSet => {
                 Cache1P2L::new(llc_cfg, mapping).into()
@@ -277,10 +287,8 @@ impl SystemConfig {
             HierarchyKind::P2L2Sparse => Cache2P2L::new(llc_cfg).into(),
             HierarchyKind::P2L2Dense => Cache2P2L::with_fill_policy(llc_cfg, false).into(),
             HierarchyKind::P2L1 => Cache2P2L::rows_only(llc_cfg).into(),
-        });
-
-        let prefetcher = self.kind.prefetches().then(|| StridePrefetcher::new(self.prefetch_degree));
-        Hierarchy::new(levels, prefetcher, MainMemory::new(self.mem))
+        };
+        Hierarchy::multicore(privates, llc, prefetchers, MainMemory::new(self.mem))
     }
 }
 

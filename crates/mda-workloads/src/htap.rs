@@ -16,8 +16,8 @@
 //! the way a concurrent HTAP system would interleave them.
 
 use mda_compiler::ir::Program;
-use mda_compiler::layout::Layout;
-use mda_compiler::trace::{MemOp, TraceOp, TraceSource};
+use mda_compiler::layout::{ArrayLayout, Layout};
+use mda_compiler::trace::{MemOp, TraceCursor, TraceOp, TraceSource};
 use mda_compiler::vectorize::CodegenOptions;
 use mda_mem::{LineKey, Orientation, LINE_WORDS};
 use rand::rngs::StdRng;
@@ -76,40 +76,22 @@ impl HtapWorkload {
     /// Emits one analytical scan of field `f`.
     fn emit_scan(
         &self,
-        layout: &mda_compiler::ArrayLayout,
+        layout: &ArrayLayout,
         opts: &CodegenOptions,
         f: u64,
-        sink: &mut dyn FnMut(TraceOp),
+        out: &mut Vec<TraceOp>,
     ) {
-        let stream = 0u32;
         let mut r = 0u64;
         while r < HTAP_RECORDS {
             let word = layout.addr(r, f);
-            let vectorizable = opts.vectorize_cols && {
+            let vector = opts.vectorize_cols && {
                 let line = LineKey::containing(word, Orientation::Col);
                 line.offset_of(word) == Some(0) && r + LINE_WORDS as u64 <= HTAP_RECORDS
             };
-            if vectorizable {
-                sink(TraceOp::Mem(MemOp {
-                    word,
-                    orient: Orientation::Col,
-                    vector: true,
-                    write: false,
-                    stream,
-                }));
-                sink(TraceOp::Compute(2));
-                r += LINE_WORDS as u64;
-            } else {
-                sink(TraceOp::Mem(MemOp {
-                    word,
-                    orient: Orientation::Col,
-                    vector: false,
-                    write: false,
-                    stream,
-                }));
-                sink(TraceOp::Compute(2));
-                r += 1;
-            }
+            let orient = Orientation::Col;
+            out.push(TraceOp::Mem(MemOp { word, orient, vector, write: false, stream: 0 }));
+            out.push(TraceOp::Compute(2));
+            r += if vector { LINE_WORDS as u64 } else { 1 };
         }
     }
 
@@ -117,41 +99,24 @@ impl HtapWorkload {
     /// back.
     fn emit_txn(
         &self,
-        layout: &mda_compiler::ArrayLayout,
+        layout: &ArrayLayout,
         opts: &CodegenOptions,
         rec: u64,
-        sink: &mut dyn FnMut(TraceOp),
+        out: &mut Vec<TraceOp>,
     ) {
         for write in [false, true] {
             let stream = if write { 2u32 } else { 1u32 };
             let mut f = 0u64;
             while f < self.fields {
                 let word = layout.addr(rec, f);
-                let vectorizable = opts.vectorize_rows && {
+                let vector = opts.vectorize_rows && {
                     let line = LineKey::containing(word, Orientation::Row);
                     line.offset_of(word) == Some(0) && f + LINE_WORDS as u64 <= self.fields
                 };
-                if vectorizable {
-                    sink(TraceOp::Mem(MemOp {
-                        word,
-                        orient: Orientation::Row,
-                        vector: true,
-                        write,
-                        stream,
-                    }));
-                    sink(TraceOp::Compute(1));
-                    f += LINE_WORDS as u64;
-                } else {
-                    sink(TraceOp::Mem(MemOp {
-                        word,
-                        orient: Orientation::Row,
-                        vector: false,
-                        write,
-                        stream,
-                    }));
-                    sink(TraceOp::Compute(1));
-                    f += 1;
-                }
+                let orient = Orientation::Row;
+                out.push(TraceOp::Mem(MemOp { word, orient, vector, write, stream }));
+                out.push(TraceOp::Compute(1));
+                f += if vector { LINE_WORDS as u64 } else { 1 };
             }
         }
     }
@@ -162,40 +127,66 @@ impl TraceSource for HtapWorkload {
         &self.name
     }
 
-    fn generate(&self, opts: &CodegenOptions, sink: &mut dyn FnMut(TraceOp)) {
+    fn cursor(&self, opts: &CodegenOptions) -> Box<dyn TraceCursor + '_> {
         let (program, table) = self.table_program();
-        let layout = Layout::plan(&program, opts.layout);
-        let table_layout = *layout.of(table);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-
-        // Interleave the two request classes proportionally so that the
-        // cache sees concurrent row and column affinity, as in a live HTAP
-        // system.
-        let total = self.scans + self.transactions;
-        let mut scans_done = 0u64;
-        let mut txns_done = 0u64;
-        for step in 0..total {
-            let scan_due = scans_done * total <= step * self.scans && scans_done < self.scans;
-            if scan_due {
-                let f = if self.scans <= self.fields {
-                    // Scan distinct leading fields.
-                    scans_done % self.fields
-                } else {
-                    rng.gen_range(0..self.fields)
-                };
-                self.emit_scan(&table_layout, opts, f, sink);
-                scans_done += 1;
-            } else if txns_done < self.transactions {
-                let rec = rng.gen_range(0..HTAP_RECORDS);
-                self.emit_txn(&table_layout, opts, rec, sink);
-                txns_done += 1;
-            }
-        }
+        let layout = *Layout::plan(&program, opts.layout).of(table);
+        Box::new(HtapCursor {
+            workload: self,
+            layout,
+            opts: *opts,
+            rng: StdRng::seed_from_u64(self.seed),
+            step: 0,
+            scans_done: 0,
+            txns_done: 0,
+        })
     }
 
     fn footprint_bytes(&self, opts: &CodegenOptions) -> u64 {
         let (program, _) = self.table_program();
         Layout::plan(&program, opts.layout).total_bytes()
+    }
+}
+
+/// The cursor over an HTAP trace: one batch per scan or transaction.
+struct HtapCursor<'a> {
+    workload: &'a HtapWorkload,
+    layout: ArrayLayout,
+    opts: CodegenOptions,
+    rng: StdRng,
+    /// Requests issued so far (scans and transactions).
+    step: u64,
+    scans_done: u64,
+    txns_done: u64,
+}
+
+impl TraceCursor for HtapCursor<'_> {
+    fn next_batch(&mut self, out: &mut Vec<TraceOp>) -> bool {
+        out.clear();
+        let w = self.workload;
+        // Interleave the two request classes proportionally so that the
+        // cache sees concurrent row and column affinity, as in a live HTAP
+        // system.
+        let total = w.scans + w.transactions;
+        while out.is_empty() && self.step < total {
+            let scan_due =
+                self.scans_done * total <= self.step * w.scans && self.scans_done < w.scans;
+            if scan_due {
+                let f = if w.scans <= w.fields {
+                    // Scan distinct leading fields.
+                    self.scans_done % w.fields
+                } else {
+                    self.rng.gen_range(0..w.fields)
+                };
+                w.emit_scan(&self.layout, &self.opts, f, out);
+                self.scans_done += 1;
+            } else if self.txns_done < w.transactions {
+                let rec = self.rng.gen_range(0..HTAP_RECORDS);
+                w.emit_txn(&self.layout, &self.opts, rec, out);
+                self.txns_done += 1;
+            }
+            self.step += 1;
+        }
+        !out.is_empty()
     }
 }
 

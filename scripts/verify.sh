@@ -6,9 +6,10 @@
 # Steps:
 #   1. release build of the whole workspace
 #   2. full test suite (unit + integration + property tests)
-#   3. release unit and integration tests of mda-cache and mda-sim (the
-#      root `cargo test` runs only the facade crate's tests, not their
-#      MSHR, cache-level and hierarchy tests)
+#   3. release unit and integration tests of mda-cache, mda-sim,
+#      mda-compiler and mda-workloads (the root `cargo test` runs only the
+#      facade crate's tests, not their MSHR, cache-level, hierarchy,
+#      trace-cursor and HTAP tests)
 #   4. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
 #   5. `--csv` must leave the text output byte-identical, and an unknown
@@ -23,7 +24,6 @@
 #      library panics, nondeterministic report iteration, and stray clocks
 #  10. mda-check: exhaustive dim-3 model check of the duplicate-word policy
 #      plus the model-vs-real differential at dim 2 (the depth-3 default)
-#  11. `figures --bench-sim --smoke` must produce a well-formed BENCH_sim.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,8 +33,8 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
-echo "== tests: mda-cache + mda-sim crate tests (release) =="
-cargo test -q --release -p mda-cache -p mda-sim
+echo "== tests: mda-cache + mda-sim + mda-compiler + mda-workloads crate tests (release) =="
+cargo test -q --release -p mda-cache -p mda-sim -p mda-compiler -p mda-workloads
 
 echo "== lint: clippy (warnings + perf) on the whole workspace =="
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::perf
@@ -101,20 +101,5 @@ echo "== smoke: malformed MDA_JOBS warns instead of being ignored =="
 MDA_JOBS=banana "$FIGURES" fig13 --scale tiny >/dev/null 2>"$TMP/jobs_err.txt"
 grep -q "ignoring MDA_JOBS" "$TMP/jobs_err.txt"
 echo "malformed MDA_JOBS produces a warning"
-
-echo "== smoke: --bench-sim writes a well-formed BENCH_sim.json =="
-# Single tiny-scale rep in a scratch dir so the committed BENCH_sim.json
-# (full scaled run) is left alone.
-(cd "$TMP" && "$OLDPWD/$FIGURES" --bench-sim --smoke >/dev/null 2>&1)
-test -s "$TMP/BENCH_sim.json"
-python3 - "$TMP/BENCH_sim.json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-cells = d["cells"]
-assert cells, "no cells"
-for c in cells:
-    assert c["accesses_per_sec"] > 0 and c["seconds"] > 0 and c["mem_ops"] > 0, c
-print(f"BENCH_sim.json well-formed ({len(cells)} cells)")
-EOF
 
 echo "verify: OK"

@@ -14,7 +14,7 @@ fn draining_the_hierarchy_flushes_all_dirty_data() {
         let src = Kernel::Ssyrk.build(32);
         let mut hierarchy = cfg.build_hierarchy();
         let mut core = mdacache::sim::Core::new(cfg.core);
-        src.generate(&cfg.codegen, &mut |op| hierarchy.step(&mut core, &op));
+        src.generate(&cfg.codegen, &mut |op| hierarchy.step(0, &mut core, &op));
 
         let final_cycle = core.finish();
         hierarchy.flush_all(final_cycle);
@@ -56,7 +56,7 @@ fn written_words_reach_memory_in_volume() {
 
         let mut hierarchy = cfg.build_hierarchy();
         let mut core = mdacache::sim::Core::new(cfg.core);
-        src.generate(&cfg.codegen, &mut |op| hierarchy.step(&mut core, &op));
+        src.generate(&cfg.codegen, &mut |op| hierarchy.step(0, &mut core, &op));
         hierarchy.flush_all(core.finish());
 
         let written_bytes = hierarchy.memory().stats().bytes_written;
