@@ -21,8 +21,12 @@
 //! Output is byte-identical regardless of N; --jobs 1 is the sequential
 //! harness.
 //!
-//! --bench-timings additionally writes BENCH_harness.json with per-
-//! experiment wall-clock seconds, cell counts and the worker count.
+//! --bench-timings additionally writes BENCH_harness.json: one entry per
+//! experiment with its wall-clock "seconds", the "cells" it submitted,
+//! how many of them were "simulated" and the worker count ("jobs").
+//! Each distinct cell is simulated once per process, so an experiment
+//! whose cells an earlier one already ran simulates fewer than it
+//! submits (ext_energy after fig14 simulates none).
 //! ```
 
 use mda_bench::experiments::{self, Experiment};
@@ -118,16 +122,18 @@ fn main() {
     eprintln!("scale: {scale}\n");
     for (name, run) in chosen {
         parallel::take_cell_count();
+        parallel::take_simulated_count();
         let t0 = Instant::now();
         let out = run(scale);
         println!("{}", out.text);
         let seconds = t0.elapsed().as_secs_f64();
         eprintln!("[{name} completed in {seconds:.1}s]\n");
         let cells = parallel::take_cell_count();
+        let simulated = parallel::take_simulated_count();
         if let Some(entries) = &mut bench_entries {
             entries.push(format!(
                 "  {{\"experiment\": \"{name}\", \"scale\": \"{scale}\", \"seconds\": {seconds:.3}, \
-                 \"cells\": {cells}, \"jobs\": {}}}",
+                 \"cells\": {cells}, \"simulated\": {simulated}, \"jobs\": {}}}",
                 parallel::jobs()
             ));
         }

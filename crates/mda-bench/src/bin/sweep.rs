@@ -24,11 +24,14 @@
 //! reported on stderr and printed as `degraded`, leaving the rest of the
 //! sweep intact.
 //!
-//! Every point × design cell runs on the worker pool (`--jobs N`, or the
-//! `MDA_JOBS` environment variable; defaults to the machine's cores).
+//! Every point × design cell goes through `mda_bench::parallel::run_cells`
+//! on the worker pool (`--jobs N`, or the `MDA_JOBS` environment variable;
+//! defaults to the machine's cores), so each distinct cell is simulated
+//! once and `MDA_PANIC_CELL` drills sweep cells too.
 
-use mda_bench::experiments::{ext_reliability, run_kernel};
-use mda_bench::{parallel, Scale};
+use mda_bench::experiments::ext_reliability;
+use mda_bench::parallel::{self, Cell};
+use mda_bench::Scale;
 use mda_sim::{FaultConfig, HierarchyKind, SystemConfig};
 use mda_workloads::Kernel;
 
@@ -213,24 +216,24 @@ fn main() {
         std::process::exit(2);
     });
 
-    // Flatten every point × design cell and fan out across the worker
-    // pool; results come back in input order, so printing stays identical
-    // to the sequential sweep. A twice-panicking cell degrades to an `Err`
-    // instead of killing the sweep.
+    // Flatten every point × design cell and simulate them through
+    // `run_cells`; results come back in input order, so printing stays
+    // identical to the sequential sweep. A twice-panicking cell degrades
+    // to an `Err` instead of killing the sweep.
     let n = scale.input();
-    let all_cells: Vec<(String, SystemConfig)> = pts
+    let all_cells: Vec<Cell> = pts
         .iter()
         .flat_map(|p| {
-            p.cfgs.iter().map(|(name, cfg)| (format!("{}/{name}", p.label), cfg.clone()))
+            p.cfgs
+                .iter()
+                .map(|(name, cfg)| Cell::new(format!("{}/{name}", p.label), kernel, n, cfg.clone()))
         })
         .collect();
-    let cycles = parallel::par_try_map(&all_cells, |(_, cfg)| run_kernel(kernel, n, cfg).cycles);
-    for ((label, _), outcome) in all_cells.iter().zip(&cycles) {
-        if let Err(msg) = outcome {
-            eprintln!("warning: cell '{label}' degraded: {msg}");
-        }
+    let outcomes = parallel::run_cells(&all_cells);
+    for failure in outcomes.iter().filter_map(|o| o.as_ref().err()) {
+        eprintln!("warning: {failure}");
     }
-    let mut cell = cycles.into_iter();
+    let mut cell = outcomes.into_iter().map(|o| o.map(|r| r.cycles));
 
     println!("sweep of {param} — {kernel} at {scale} scale, cycles normalized to each point's 1P1L\n");
     print!("{:>16}", "");

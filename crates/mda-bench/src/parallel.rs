@@ -5,7 +5,7 @@
 //! harness scales with cores. This module provides the fan-out layer the
 //! experiments submit their cells through:
 //!
-//! * [`par_map`]/[`par_try_map`] — run a closure over a slice on a scoped
+//! * [`par_map`]/[`par_try_map_with`] — run a closure over a slice on a scoped
 //!   worker pool (plain `std::thread::scope`; no external crates) and
 //!   reassemble the results **in input order**, so every table and CSV
 //!   downstream is byte-identical to a sequential run. Each cell runs
@@ -13,30 +13,43 @@
 //!   that fails twice becomes an `Err` (the `try` variants) or aborts the
 //!   map (`par_map`, preserving its infallible contract) — it never
 //!   poisons the pool or takes the other cells down with it.
+//!   [`par_map_distinct`] computes equal items once.
 //! * [`Cell`]/[`run_cells`] — the labeled `(kernel, input, system)` unit
-//!   the figure experiments fan out. `run_cells` reports failures as
-//!   labeled [`CellFailure`]s so experiments render them as degraded
-//!   cells instead of crashing.
+//!   the figure experiments and the `sweep` binary fan out. `run_cells`
+//!   simulates each distinct cell once per process: a process-wide memo
+//!   holds the report of every cell it has simulated (see [`run_cells`]),
+//!   and [`clear_memo`] empties it. Failures come back as labeled
+//!   [`CellFailure`]s so experiments render them as degraded cells
+//!   instead of crashing.
 //! * [`jobs`]/[`set_jobs`] — worker-count resolution: an explicit
 //!   [`set_jobs`] override (the `--jobs` CLI flag) beats the `MDA_JOBS`
 //!   environment variable, which beats
 //!   [`std::thread::available_parallelism`]. One job reproduces the
 //!   sequential harness exactly (no worker threads are spawned at all).
-//! * [`take_cell_count`] — a process-wide counter of executed cells, read
-//!   by the `figures` binary's `--bench-timings` mode.
+//! * [`take_cell_count`]/[`take_simulated_count`] — process-wide counters
+//!   of submitted and of actually simulated cells, read by the `figures`
+//!   binary's `--bench-timings` mode.
 
 use crate::experiments::run_kernel;
-use mda_sim::{SimReport, SystemConfig};
+use mda_sim::{FaultConfig, SimReport, SystemConfig};
 use mda_workloads::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 
 /// Explicit worker-count override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Cells executed since the last [`take_cell_count`].
+/// Cells submitted since the last [`take_cell_count`].
 static CELLS: AtomicU64 = AtomicU64::new(0);
+
+/// Cells actually simulated since the last [`take_simulated_count`].
+static SIMULATED: AtomicU64 = AtomicU64::new(0);
+
+/// The `Ok` report of every distinct cell [`run_cells`] has simulated in
+/// this process. At most a few hundred entries, so a linear scan suffices
+/// (and `SystemConfig` cannot be hashed: its fault rates are `f64`).
+static MEMO: Mutex<Vec<(CellKey, SimReport)>> = Mutex::new(Vec::new());
 
 /// Sets the worker count explicitly (the `--jobs N` CLI flag). Passing 0
 /// clears the override.
@@ -70,10 +83,35 @@ pub fn jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Returns the number of cells executed since the previous call, resetting
-/// the counter.
+/// Returns the number of cells submitted since the previous call,
+/// resetting the counter. Every item of a map and every cell passed to
+/// [`run_cells`] counts, whether or not it was simulated.
 pub fn take_cell_count() -> u64 {
     CELLS.swap(0, Ordering::SeqCst)
+}
+
+/// Returns the number of cells actually simulated since the previous call,
+/// resetting the counter: submitted cells minus memo hits and duplicates.
+pub fn take_simulated_count() -> u64 {
+    SIMULATED.swap(0, Ordering::SeqCst)
+}
+
+/// Empties the [`run_cells`] memo, so the next run of an experiment
+/// simulates every one of its distinct cells again.
+pub fn clear_memo() {
+    memo().clear();
+}
+
+/// Locks the memo. A poisoned lock is recovered: every update is one
+/// `push` or `clear`, so the list is valid at every step.
+fn memo() -> MutexGuard<'static, Vec<(CellKey, SimReport)>> {
+    MEMO.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Counts `submitted` cells, of which `simulated` run.
+fn count(submitted: usize, simulated: usize) {
+    CELLS.fetch_add(submitted as u64, Ordering::SeqCst);
+    SIMULATED.fetch_add(simulated as u64, Ordering::SeqCst);
 }
 
 /// Best-effort rendering of a caught panic payload.
@@ -92,7 +130,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Panics
 /// Panics if a cell panics twice in a row (once plus the automatic retry);
-/// use [`par_try_map`] to handle failures gracefully.
+/// use [`par_try_map_with`] to handle failures gracefully.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -113,60 +151,99 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_try_map_with(items, workers, f)
+    unwrap_all(par_try_map_with(items, workers, f))
+}
+
+/// `par_map`'s infallible contract: the first failed cell aborts the map.
+fn unwrap_all<R>(results: Vec<Result<R, String>>) -> Vec<R> {
+    results
         .into_iter()
         .map(|r| r.unwrap_or_else(|msg| panic!("parallel cell failed after retry: {msg}")))
         .collect()
 }
 
-/// Fallible variant of [`par_map`] on [`jobs`] workers: each cell's panic
-/// is isolated, retried once, and surfaced as `Err(message)` if it fails
-/// again.
-pub fn par_try_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
+/// [`par_map`] that computes each distinct item once and clones its result
+/// into every position holding an equal item. Every item counts as
+/// submitted, each distinct one as simulated.
+///
+/// # Panics
+/// Panics if a cell panics twice in a row.
+pub fn par_map_distinct<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
-    T: Sync,
-    R: Send,
+    T: PartialEq + Sync,
+    R: Clone + Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_try_map_with(items, jobs(), f)
+    let (distinct, slots) = dedup(items.iter());
+    count(items.len(), distinct.len());
+    let results = unwrap_all(pool_map(&distinct, jobs(), |item| f(item)));
+    slots.into_iter().map(|i| results[i].clone()).collect()
+}
+
+/// The distinct values of `items` in first-seen order, and for each item
+/// the index of its value among them.
+fn dedup<T: PartialEq>(items: impl Iterator<Item = T>) -> (Vec<T>, Vec<usize>) {
+    let mut distinct: Vec<T> = Vec::new();
+    let slots = items
+        .map(|item| match distinct.iter().position(|d| *d == item) {
+            Some(i) => i,
+            None => {
+                distinct.push(item);
+                distinct.len() - 1
+            }
+        })
+        .collect();
+    (distinct, slots)
 }
 
 /// Maps `f` over `items` on an explicit number of workers with panic
-/// isolation, returning per-item `Result`s in input order.
-///
-/// With `workers <= 1` (or fewer than two items) the map runs inline on
-/// the calling thread — exactly the sequential harness. Otherwise a scoped
-/// pool of `min(workers, items.len())` threads claims items through a
-/// shared index counter and writes each result into its input slot.
-///
-/// Each invocation of `f` runs under [`catch_unwind`]: a panicking cell is
-/// retried once (transient failures — e.g. resource exhaustion — recover),
-/// and a cell that panics twice resolves to `Err` with the panic message
-/// while every other cell's result is preserved.
+/// isolation, returning per-item `Result`s in input order. Every item
+/// counts as submitted and simulated.
 pub fn par_try_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    CELLS.fetch_add(items.len() as u64, Ordering::SeqCst);
-    let attempt = |item: &T| -> Result<R, String> {
-        match catch_unwind(AssertUnwindSafe(|| f(item))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                eprintln!(
-                    "warning: harness cell panicked ({}); retrying once",
-                    panic_message(payload.as_ref())
-                );
-                catch_unwind(AssertUnwindSafe(|| f(item)))
-                    .map_err(|payload| panic_message(payload.as_ref()))
-            }
-        }
-    };
+    count(items.len(), items.len());
+    pool_map(items, workers, f)
+}
 
+/// Runs `f` under [`catch_unwind`], retrying once if it panics (transient
+/// failures — e.g. resource exhaustion — recover). A second panic resolves
+/// to `Err` with its message.
+fn attempt<R>(f: impl Fn() -> R) -> Result<R, String> {
+    match catch_unwind(AssertUnwindSafe(&f)) {
+        Ok(r) => Ok(r),
+        Err(payload) => {
+            eprintln!(
+                "warning: harness cell panicked ({}); retrying once",
+                panic_message(payload.as_ref())
+            );
+            catch_unwind(AssertUnwindSafe(&f)).map_err(|payload| panic_message(payload.as_ref()))
+        }
+    }
+}
+
+/// The uncounted worker pool behind every map.
+///
+/// With `workers <= 1` (or fewer than two items) the map runs inline on
+/// the calling thread — exactly the sequential harness. Otherwise a scoped
+/// pool of `min(workers, items.len())` threads claims items through a
+/// shared index counter and writes each result into its input slot.
+///
+/// Each invocation of `f` runs under [`attempt`]: a cell that panics twice
+/// resolves to `Err` with the panic message while every other cell's
+/// result is preserved.
+fn pool_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let workers = workers.min(items.len());
     if workers <= 1 {
-        return items.iter().map(attempt).collect();
+        return items.iter().map(|item| attempt(|| f(item))).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -177,7 +254,7 @@ where
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                let result = attempt(item);
+                let result = attempt(|| f(item));
                 *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
@@ -247,18 +324,85 @@ fn deliberate_panic_check(label: &str) {
     }
 }
 
-/// Simulates every cell on the worker pool, returning per-cell outcomes in
-/// cell order. A cell that panics (twice, after the automatic retry) comes
-/// back as a labeled [`CellFailure`] with the other cells' reports intact.
+/// What a cell's report depends on: its kernel, input size and system.
+/// Simulation is deterministic, so equal keys give equal reports.
+#[derive(Debug, Clone, PartialEq)]
+struct CellKey {
+    kernel: Kernel,
+    n: u64,
+    config: SystemConfig,
+}
+
+impl CellKey {
+    /// The canonical key of `cell`. A valid fault model with every rate at
+    /// zero never draws a fault, so its seed, retry, spare and remap fields
+    /// cannot reach the report: it becomes [`FaultConfig::none`]. An
+    /// invalid one (e.g. a negative rate) keeps its fields and fails
+    /// validation when simulated.
+    fn of(cell: &Cell) -> CellKey {
+        let mut config = cell.config.clone();
+        let faults = &config.mem.faults;
+        if !faults.enabled() && faults.validate().is_ok() {
+            config.mem.faults = FaultConfig::none();
+        }
+        CellKey { kernel: cell.kernel, n: cell.n, config }
+    }
+}
+
+/// Simulates every cell, returning per-cell outcomes in cell order. A cell
+/// that panics (twice, after the automatic retry) comes back as a labeled
+/// [`CellFailure`] with the other cells' reports intact.
+///
+/// Each distinct cell is simulated once per process:
+/// 1. every label first goes through the `MDA_PANIC_CELL` drill, so a
+///    drilled cell fails whether or not its report is known;
+/// 2. the remaining cells are reduced to their distinct [`CellKey`]s;
+/// 3. keys already in the process-wide memo take the memoized report;
+/// 4. only the other keys are simulated, on the worker pool;
+/// 5. their `Ok` reports join the memo (a degraded cell is never
+///    memoized, so a later batch simulates it again).
+///
+/// [`run_kernel`] itself stays un-memoized.
 pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
-    par_try_map(cells, |c| {
-        deliberate_panic_check(&c.label);
-        run_kernel(c.kernel, c.n, &c.config)
-    })
-    .into_iter()
-    .zip(cells)
-    .map(|(r, c)| r.map_err(|message| CellFailure { label: c.label.clone(), message }))
-    .collect()
+    let drilled: Vec<Result<(), String>> =
+        cells.iter().map(|c| attempt(|| deliberate_panic_check(&c.label))).collect();
+    let (keys, slots) = dedup(
+        cells.iter().zip(&drilled).filter(|(_, d)| d.is_ok()).map(|(c, _)| CellKey::of(c)),
+    );
+    let cached: Vec<Option<SimReport>> = {
+        let memo = memo();
+        keys.iter().map(|k| memo.iter().find(|(m, _)| m == k).map(|(_, r)| r.clone())).collect()
+    };
+    let misses: Vec<&CellKey> =
+        keys.iter().zip(&cached).filter(|(_, r)| r.is_none()).map(|(k, _)| k).collect();
+    count(cells.len(), misses.len());
+    let mut fresh = pool_map(&misses, jobs(), |k| run_kernel(k.kernel, k.n, &k.config)).into_iter();
+    let reports: Vec<Result<SimReport, String>> = cached
+        .into_iter()
+        .map(|hit| hit.map_or_else(|| fresh.next().expect("one outcome per miss"), Ok))
+        .collect();
+    {
+        let mut memo = memo();
+        for (key, report) in keys.into_iter().zip(&reports) {
+            if let Ok(r) = report {
+                if !memo.iter().any(|(m, _)| *m == key) {
+                    memo.push((key, r.clone()));
+                }
+            }
+        }
+    }
+    let mut slots = slots.into_iter();
+    cells
+        .iter()
+        .zip(drilled)
+        .map(|(c, d)| {
+            d.and_then(|()| {
+                let slot = slots.next().expect("one slot per undrilled cell");
+                reports[slot].clone()
+            })
+            .map_err(|message| CellFailure { label: c.label.clone(), message })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -299,6 +443,17 @@ mod tests {
             let sequential = run_kernel(cell.kernel, cell.n, &cell.config);
             assert_eq!(report, &sequential, "{} diverged across threads", cell.label);
         }
+    }
+
+    #[test]
+    fn par_map_distinct_computes_each_distinct_item_once() {
+        let calls = AtomicUsize::new(0);
+        let out = par_map_distinct(&[3u32, 1, 3, 2, 1, 3], |x| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            x * 10
+        });
+        assert_eq!(out, vec![30, 10, 30, 20, 10, 30]);
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -16,13 +16,16 @@
 #      experiment name must exit 2 before anything runs or is written
 #   6. reliability smoke run: the seeded fault-injection sweep must be
 #      byte-identical across worker counts
-#   7. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
+#   7. memo drill: experiments run in one process (later ones answered
+#      from the memo of simulated cells) print and write exactly what
+#      each run in its own process does
+#   8. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#   8. clippy (warnings + perf lints) across the whole workspace
-#   9. mda-lint: the workspace must be free of hot-path allocations,
+#   9. clippy (warnings + perf lints) across the whole workspace
+#  10. mda-lint: the workspace must be free of hot-path allocations,
 #      library panics, nondeterministic report iteration, and stray clocks
-#  10. mda-check: exhaustive dim-3 model check of the duplicate-word policy
+#  11. mda-check: exhaustive dim-3 model check of the duplicate-word policy
 #      plus the model-vs-real differential at dim 2 (the depth-3 default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -85,6 +88,22 @@ cmp "$TMP/ber2.txt" "$TMP/ber4.txt"
 "$FIGURES" ext_reliability --scale tiny --jobs 2 >"$TMP/rel.txt" 2>/dev/null
 grep -q "write retries" "$TMP/rel.txt"
 echo "reliability sweep reproducible across worker counts"
+
+echo "== smoke: memo hits render like fresh runs =="
+# One process: ext_energy and ext_reliability's ber=0 cells repeat fig14's
+# grid and come from the memo. Then each experiment in its own process.
+MEMO_EXPS=(fig14 ext_energy ext_reliability ext_multicore)
+FIGURES_ABS="$PWD/$FIGURES"
+mkdir "$TMP/memo"
+(cd "$TMP/memo" && "$FIGURES_ABS" "${MEMO_EXPS[@]}" --scale tiny --jobs 2 --csv A \
+    --bench-timings >A.txt 2>/dev/null)
+for e in "${MEMO_EXPS[@]}"; do
+    "$FIGURES" "$e" --scale tiny --jobs 2 --csv "$TMP/memo/B" >>"$TMP/memo/B.txt" 2>/dev/null
+done
+cmp "$TMP/memo/A.txt" "$TMP/memo/B.txt"
+diff -r "$TMP/memo/A" "$TMP/memo/B"
+grep -q '"experiment": "ext_energy".*"cells": 28, "simulated": 0,' "$TMP/memo/BENCH_harness.json"
+echo "memoized experiments byte-identical to separate runs; ext_energy simulated 0 cells"
 
 echo "== smoke: deliberate panic degrades one cell, not the run =="
 MDA_PANIC_CELL=sgemm "$FIGURES" fig13 --scale tiny --jobs 2 \

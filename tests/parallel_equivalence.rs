@@ -12,16 +12,21 @@ use mda_workloads::Kernel;
 /// workers yields the same strings and the same structured tables.
 ///
 /// Both job counts run inside one test body because [`parallel::set_jobs`]
-/// is process-global; the override is cleared before asserting.
+/// is process-global; the override is cleared before asserting. The memo
+/// of simulated cells is cleared between the runs, so the 4-worker run
+/// simulates all 21 fig13 cells instead of reusing the 1-worker reports.
 #[test]
 fn figures_render_identically_for_any_job_count() {
     parallel::set_jobs(1);
     let table1_seq = table1::render(Scale::Tiny);
     let fig13_seq = fig13::run(Scale::Tiny);
+    parallel::clear_memo();
+    parallel::take_simulated_count();
     parallel::set_jobs(4);
     let table1_par = table1::render(Scale::Tiny);
     let fig13_par = fig13::run(Scale::Tiny);
     parallel::set_jobs(0);
+    assert_eq!(parallel::take_simulated_count(), 21, "the 4-worker run reused memoized cells");
 
     assert_eq!(table1_seq, table1_par);
     assert_eq!(fig13_seq, fig13_par, "fig13 structured results diverged");

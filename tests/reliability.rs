@@ -8,25 +8,34 @@ use mda_workloads::Kernel;
 
 /// With every fault rate at zero, the full simulation pipeline produces a
 /// report identical to a run with no fault configuration at all, for every
-/// design — the invariant that keeps all pre-existing figures and CSVs
-/// byte-identical.
+/// design and whatever the model's seed, retry, spare and remap fields —
+/// the invariant that keeps all pre-existing figures and CSVs
+/// byte-identical, and that lets `run_cells` canonicalize every disabled
+/// fault model to `FaultConfig::none()`.
 #[test]
 fn zero_rates_leave_every_design_report_untouched() {
-    for kind in [
-        HierarchyKind::Baseline1P1L,
-        HierarchyKind::P1L2DifferentSet,
-        HierarchyKind::P1L2SameSet,
-        HierarchyKind::P2L2Sparse,
-    ] {
+    let tuned = FaultConfig {
+        max_write_retries: 9,
+        retry_backoff: 1,
+        spare_tiles_per_bank: 0,
+        remap_penalty: 97,
+        ..FaultConfig::uniform(0x0BAD_5EED, 0.0, 0.0, 0.0)
+    };
+    let zero_rate_models = [
+        (24, vec![FaultConfig::uniform(0xDEAD_BEEF, 0.0, 0.0, 0.0), tuned]),
+        (Scale::Tiny.input(), vec![ext_reliability::fault_config(0.0)]),
+    ];
+    for kind in HierarchyKind::all() {
         let plain = Scale::Tiny.system(kind);
-        let gated = Scale::Tiny
-            .system(kind)
-            .with_faults(FaultConfig::uniform(0xDEAD_BEEF, 0.0, 0.0, 0.0));
-        let a = run_kernel(Kernel::Sgemm, 24, &plain);
-        let b = run_kernel(Kernel::Sgemm, 24, &gated);
-        assert_eq!(a, b, "{}: zero-rate faults perturbed the report", kind.name());
-        assert!(!b.mem.reliability_active(), "{}: phantom reliability events", kind.name());
-        assert!(!a.render().contains("reliability:"), "fault-free report grew a line");
+        for (n, models) in &zero_rate_models {
+            let a = run_kernel(Kernel::Sgemm, *n, &plain);
+            assert!(!a.render().contains("reliability:"), "fault-free report grew a line");
+            for faults in models {
+                let b = run_kernel(Kernel::Sgemm, *n, &plain.clone().with_faults(*faults));
+                assert_eq!(a, b, "{} n={n}: zero-rate faults {faults:?} perturbed the report", kind.name());
+                assert!(!b.mem.reliability_active(), "{}: phantom reliability events", kind.name());
+            }
+        }
     }
 }
 
@@ -35,14 +44,19 @@ fn zero_rates_leave_every_design_report_untouched() {
 /// identical rendered tables at `--jobs 1` and `--jobs 4`.
 ///
 /// Both job counts run inside one test body because [`parallel::set_jobs`]
-/// is process-global; the override is cleared before asserting.
+/// is process-global; the override is cleared before asserting. The memo
+/// of simulated cells is cleared between the runs, so the 4-worker run
+/// simulates all 12 cells instead of reusing the 1-worker reports.
 #[test]
 fn reliability_sweep_is_identical_across_worker_counts() {
     parallel::set_jobs(1);
     let seq = ext_reliability::run(Scale::Tiny);
+    parallel::clear_memo();
+    parallel::take_simulated_count();
     parallel::set_jobs(4);
     let par = ext_reliability::run(Scale::Tiny);
     parallel::set_jobs(0);
+    assert_eq!(parallel::take_simulated_count(), 12, "the 4-worker run reused memoized cells");
 
     assert_eq!(seq, par, "fault injection diverged across worker counts");
     assert_eq!(seq.cycles.to_csv(), par.cycles.to_csv());
