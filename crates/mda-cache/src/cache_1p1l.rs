@@ -9,7 +9,7 @@
 
 use crate::config::CacheConfig;
 use crate::level::{Access, AccessWidth, CacheLevel, Probe, Writeback};
-use crate::set_array::SetArray;
+use crate::set_array::{Filled, SetArray};
 use crate::stats::CacheStats;
 use mda_mem::{LineKey, Orientation};
 
@@ -93,13 +93,14 @@ impl CacheLevel for Cache1P1L {
     fn fill(&mut self, line: LineKey, dirty: u8, out: &mut Vec<Writeback>) {
         debug_assert_eq!(line.orient, Orientation::Row, "1P1L holds row lines only");
         let set = self.set_of(&line);
-        if let Some(meta) = self.array.get_mut(set, line) {
-            meta.dirty |= dirty;
-            return;
-        }
-        self.stats.demand_fills += 1;
-        if let Some((vk, vm)) = self.array.insert(set, line, LineMeta { dirty }) {
-            out.extend(Self::wb(vk, vm));
+        match self.array.fill(set, line, LineMeta { dirty }) {
+            Filled::Hit(meta) => meta.dirty |= dirty,
+            Filled::Inserted(victim) => {
+                self.stats.demand_fills += 1;
+                if let Some((vk, vm)) = victim {
+                    out.extend(Self::wb(vk, vm));
+                }
+            }
         }
     }
 
@@ -145,7 +146,7 @@ impl CacheLevel for Cache1P1L {
 
     fn for_each_line(&self, f: &mut dyn FnMut(LineKey, u8)) {
         for (key, meta) in self.array.iter() {
-            f(*key, meta.dirty);
+            f(key, meta.dirty);
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::config::{CacheConfig, SetMapping};
 use crate::level::{Access, AccessWidth, CacheLevel, Probe, Writeback, WritebackSink};
-use crate::set_array::SetArray;
+use crate::set_array::{Filled, SetArray};
 use crate::stats::CacheStats;
 use mda_mem::{LineKey, TILE_LINES};
 
@@ -378,7 +378,10 @@ impl CacheLevel for Cache1P2L {
 
         self.resolve_intersections(&line, dirty, out);
         self.stats.demand_fills += 1;
-        if let Some((victim, meta)) = self.array.insert(set, line, LineMeta { dirty }) {
+        let Filled::Inserted(evicted) = self.array.fill(set, line, LineMeta { dirty }) else {
+            unreachable!("{line} was absent, and resolving intersections only removes lines")
+        };
+        if let Some((victim, meta)) = evicted {
             self.note_line_removed(&victim);
             if meta.dirty != 0 {
                 self.stats.writebacks_out += 1;
@@ -440,7 +443,7 @@ impl CacheLevel for Cache1P2L {
 
     fn for_each_line(&self, f: &mut dyn FnMut(LineKey, u8)) {
         for (key, meta) in self.array.iter() {
-            f(*key, meta.dirty);
+            f(key, meta.dirty);
         }
     }
 }

@@ -27,7 +27,7 @@
 use crate::config::CacheConfig;
 use crate::inline_vec::InlineVec;
 use crate::level::{Access, AccessWidth, CacheLevel, Probe, Writeback, PROBE_MAX};
-use crate::set_array::SetArray;
+use crate::set_array::{Filled, SetArray};
 use crate::stats::CacheStats;
 use mda_mem::{LineKey, Orientation, TileId, TILE_LINES};
 
@@ -284,23 +284,25 @@ impl CacheLevel for Cache2P2L {
             "2P1L stores row lines only"
         );
         let set = self.set_of(line.tile);
-        if let Some(meta) = self.array.get_mut(set, line.tile) {
+        // A resident block merges the line into its bitmaps; an absent one
+        // is allocated holding just this line.
+        let add_line = |meta: &mut TileMeta| {
             meta.set_valid(line.orient, line.idx);
             if dirty != 0 {
                 meta.set_dirty(line.orient, line.idx);
             }
             meta.debug_assert_dirty_implies_valid();
-            return;
-        }
-        self.stats.demand_fills += 1;
-        let mut meta = TileMeta::default();
-        meta.set_valid(line.orient, line.idx);
-        if dirty != 0 {
-            meta.set_dirty(line.orient, line.idx);
-        }
-        meta.debug_assert_dirty_implies_valid();
-        if let Some((victim, vm)) = self.array.insert(set, line.tile, meta) {
-            self.stats.writebacks_out += Self::push_writebacks(victim, &vm, out);
+        };
+        let mut fresh = TileMeta::default();
+        add_line(&mut fresh);
+        match self.array.fill(set, line.tile, fresh) {
+            Filled::Hit(meta) => add_line(meta),
+            Filled::Inserted(victim) => {
+                self.stats.demand_fills += 1;
+                if let Some((victim, vm)) = victim {
+                    self.stats.writebacks_out += Self::push_writebacks(victim, &vm, out);
+                }
+            }
         }
     }
 
@@ -360,11 +362,11 @@ impl CacheLevel for Cache2P2L {
             for idx in 0..TILE_LINES as u8 {
                 if meta.row_valid & (1 << idx) != 0 {
                     let dirty = if meta.row_dirty & (1 << idx) != 0 { 0xFF } else { 0 };
-                    f(LineKey::new(*tile, Orientation::Row, idx), dirty);
+                    f(LineKey::new(tile, Orientation::Row, idx), dirty);
                 }
                 if meta.col_valid & (1 << idx) != 0 {
                     let dirty = if meta.col_dirty & (1 << idx) != 0 { 0xFF } else { 0 };
-                    f(LineKey::new(*tile, Orientation::Col, idx), dirty);
+                    f(LineKey::new(tile, Orientation::Col, idx), dirty);
                 }
             }
         }

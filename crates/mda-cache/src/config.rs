@@ -1,5 +1,6 @@
 //! Cache-level configuration.
 
+use crate::mshr::Mshr;
 use mda_mem::{ConfigError, LINE_BYTES};
 
 /// Set-index mapping for logically 2-D caches (paper Sec. IV-C, Design 1).
@@ -129,7 +130,8 @@ impl CacheConfig {
     /// # Errors
     /// Returns a typed [`ConfigError`] when the capacity or associativity
     /// is zero, when the capacity is not a multiple of the line-size ×
-    /// associativity, or when the cache has no MSHRs.
+    /// associativity, or when the cache has no MSHRs or more than
+    /// [`Mshr::MAX_CAPACITY`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.assoc == 0 {
             return Err(ConfigError::Zero { field: "assoc" });
@@ -149,6 +151,13 @@ impl CacheConfig {
         }
         if self.mshrs == 0 {
             return Err(ConfigError::Zero { field: "mshrs" });
+        }
+        if self.mshrs > Mshr::MAX_CAPACITY {
+            return Err(ConfigError::TooLarge {
+                field: "mshrs",
+                value: self.mshrs as u64,
+                max: Mshr::MAX_CAPACITY as u64,
+            });
         }
         Ok(())
     }
@@ -202,6 +211,13 @@ mod tests {
         let mut c = CacheConfig::l1_32k();
         c.mshrs = 0;
         assert_eq!(c.validate(), Err(ConfigError::Zero { field: "mshrs" }));
+        c.mshrs = Mshr::MAX_CAPACITY;
+        assert_eq!(c.validate(), Ok(()));
+        c.mshrs = Mshr::MAX_CAPACITY + 1;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::TooLarge { field: "mshrs", value: 65_536, max: 65_535 })
+        );
     }
 
     #[test]

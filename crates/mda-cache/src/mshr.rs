@@ -11,45 +11,77 @@
 //! In the latency-forwarding simulator an entry is simply the completion
 //! cycle of the outstanding fill; entries expire lazily as time advances.
 
-use mda_mem::{Cycle, LineKey, Orientation};
+use mda_mem::{Cycle, LineKey};
 
 /// One outstanding miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
-    /// The line, packed by [`pack`].
+    /// The line, packed by [`LineKey::pack`].
     key: u64,
     completes: Cycle,
     is_write: bool,
 }
 
-/// Packs a line as `tile << 4 | orient << 3 | idx`, so two keys differ only
-/// in bit 3 exactly when they are lines of opposite orientation in one tile.
-#[inline]
-fn pack(line: &LineKey) -> u64 {
-    debug_assert!(line.tile < 1 << 60, "tile {} does not fit a packed line key", line.tile);
-    let orient = u64::from(line.orient == Orientation::Col);
-    line.tile << 4 | orient << 3 | u64::from(line.idx)
+/// log2 of the slots per [`CountingFilter`].
+const FILTER_BITS: u32 = 6;
+
+/// A counting filter over `u64` keys: each slot counts the live entries
+/// whose key hashes to it (Fibonacci hashing, so strided tile ids spread).
+/// A zero count proves no live entry has the key, which skips a scan; a
+/// collision only fails to skip a scan that finds nothing, so the filter
+/// never changes an outcome. A slot counts at most the live entries, which
+/// never exceed [`Mshr::MAX_CAPACITY`], so a `u16` count cannot overflow.
+#[derive(Debug, Clone)]
+struct CountingFilter {
+    counts: [u16; 1 << FILTER_BITS],
 }
 
-/// Orientation bit of a packed key (0 = row, 1 = column).
-#[inline]
-fn orient_of(key: u64) -> usize {
-    (key >> 3 & 1) as usize
+impl CountingFilter {
+    const EMPTY: CountingFilter = CountingFilter { counts: [0; 1 << FILTER_BITS] };
+
+    #[inline]
+    fn slot(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_BITS)) as usize
+    }
+
+    #[inline]
+    fn add(&mut self, key: u64) {
+        self.counts[Self::slot(key)] += 1;
+    }
+
+    #[inline]
+    fn remove(&mut self, key: u64) {
+        self.counts[Self::slot(key)] -= 1;
+    }
+
+    /// `false` is definitive; `true` may be a collision.
+    #[inline]
+    fn may_contain(&self, key: u64) -> bool {
+        self.counts[Self::slot(key)] != 0
+    }
 }
 
 /// A bounded table of outstanding misses for one cache level.
 ///
-/// Entries are kept sorted by completion cycle, so expiry drops a prefix and
-/// the earliest completion is the head. The file holds at most one entry per
-/// line: [`Mshr::complete`] only follows an [`MshrDecision::Allocated`],
-/// which proves the line absent, so lookups need no insertion order.
+/// Live entries are `entries[head..]`, sorted by completion cycle, so
+/// expiry advances `head` past a prefix and the earliest completion is at
+/// `head`. The file holds at most one entry per line: [`Mshr::complete`]
+/// only follows an [`MshrDecision::Allocated`], which proves the line
+/// absent, so lookups need no insertion order. Two counting filters over
+/// the live entries, one over packed line keys and one over (tile,
+/// orientation) pairs, let most scans be skipped: a line lookup (coalescing
+/// and [`Mshr::pending_completion`]) scans only when both admit the line,
+/// the overlap-ordering scan only when the pair filter admits the other
+/// orientation of the tile.
 #[derive(Debug, Clone)]
 pub struct Mshr {
     entries: Vec<Entry>,
+    head: usize,
     capacity: usize,
-    /// Entries per orientation, indexed by [`orient_of`]; a zero count
-    /// skips a scan that could not match.
-    per_orient: [usize; 2],
+    /// Filter over live packed keys.
+    lines: CountingFilter,
+    /// Filter over live (tile, orientation) pairs: packed keys `>> 3`.
+    tiles: CountingFilter,
 }
 
 /// What the MSHR decided about a new miss.
@@ -73,35 +105,67 @@ pub enum MshrDecision {
 }
 
 impl Mshr {
+    /// The most registers a file may have, so that the filter counts fit a
+    /// `u16`. `CacheConfig::validate` rejects larger `mshrs`.
+    pub const MAX_CAPACITY: usize = u16::MAX as usize;
+
     /// Creates an MSHR file with `capacity` registers.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above [`Mshr::MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Mshr {
         assert!(capacity > 0, "MSHR capacity must be non-zero");
-        Mshr { entries: Vec::with_capacity(capacity), capacity, per_orient: [0; 2] }
+        assert!(
+            capacity <= Mshr::MAX_CAPACITY,
+            "MSHR capacity {capacity} exceeds the filter counts"
+        );
+        Mshr {
+            entries: Vec::with_capacity(capacity),
+            head: 0,
+            capacity,
+            lines: CountingFilter::EMPTY,
+            tiles: CountingFilter::EMPTY,
+        }
+    }
+
+    /// The live entries, earliest completion first.
+    #[inline]
+    fn live(&self) -> &[Entry] {
+        &self.entries[self.head..]
     }
 
     /// Registers currently outstanding.
     pub fn outstanding(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.head
     }
 
     /// Drops entries that completed at or before `now`.
     pub fn expire(&mut self, now: Cycle) {
-        let n = self.entries.iter().take_while(|e| e.completes <= now).count();
-        for e in self.entries.drain(..n) {
-            self.per_orient[orient_of(e.key)] -= 1;
+        while let Some(&e) = self.entries.get(self.head) {
+            if e.completes > now {
+                return;
+            }
+            self.lines.remove(e.key);
+            self.tiles.remove(e.key >> 3);
+            self.head += 1;
         }
+        self.entries.clear();
+        self.head = 0;
+    }
+
+    /// Whether both filters admit packed key `key`; `false` is definitive.
+    #[inline]
+    fn admits(&self, key: u64) -> bool {
+        self.lines.may_contain(key) && self.tiles.may_contain(key >> 3)
     }
 
     /// Completion cycle of the live entry for `key`, if any.
     #[inline]
     fn find(&self, key: u64) -> Option<Cycle> {
-        if self.per_orient[orient_of(key)] == 0 {
+        if !self.admits(key) {
             return None;
         }
-        self.entries.iter().find(|e| e.key == key).map(|e| e.completes)
+        self.live().iter().find(|e| e.key == key).map(|e| e.completes)
     }
 
     /// Handles a miss on `line` at `now`.
@@ -111,7 +175,7 @@ impl Mshr {
     /// must later call [`Mshr::complete`] with the fill's completion cycle.
     pub fn on_miss(&mut self, line: LineKey, is_write: bool, now: Cycle) -> MshrDecision {
         self.expire(now);
-        let key = pack(&line);
+        let key = line.pack();
         // 2-D miss coalescing: "many misses to the same column are combined
         // into one column access in the MSHR" (paper Sec. VII).
         if let Some(completes) = self.find(key) {
@@ -120,8 +184,8 @@ impl Mshr {
 
         // Full file: the request waits for the earliest completion.
         let mut ready_at = now;
-        if self.entries.len() >= self.capacity {
-            ready_at = self.entries[0].completes;
+        if self.outstanding() >= self.capacity {
+            ready_at = self.entries[self.head].completes;
             self.expire(ready_at);
         }
 
@@ -130,9 +194,9 @@ impl Mshr {
         // orientation in the same tile overlap; entries the stall dropped
         // completed by `ready_at` and cannot raise `issue_at`.
         let mut issue_at = ready_at;
-        if self.per_orient[1 - orient_of(key)] > 0 {
+        if self.tiles.may_contain((key >> 3) ^ 1) {
             let overlap = self
-                .entries
+                .live()
                 .iter()
                 .rev()
                 .find(|e| (e.key ^ key) >> 3 == 1 && (e.is_write || is_write));
@@ -149,25 +213,48 @@ impl Mshr {
     /// model, but the data is not).
     pub fn pending_completion(&mut self, line: &LineKey, now: Cycle) -> Option<Cycle> {
         self.expire(now);
-        self.find(pack(line))
+        self.find(line.pack())
     }
 
     /// Records the completion cycle of a previously allocated miss.
     pub fn complete(&mut self, line: LineKey, is_write: bool, completes: Cycle) {
-        let key = pack(&line);
+        let key = line.pack();
         debug_assert!(
-            self.entries.iter().all(|e| e.key != key),
+            self.live().iter().all(|e| e.key != key),
             "MSHR already tracks {line}; complete must follow an allocation"
         );
-        if self.entries.len() >= self.capacity {
+        if self.outstanding() >= self.capacity {
             // Defensive: make room by dropping the earliest completion. The
             // on_miss path already freed space, so this only triggers when a
             // caller allocates without consulting on_miss.
-            self.expire(self.entries[0].completes);
+            self.expire(self.entries[self.head].completes);
         }
-        let at = self.entries.partition_point(|e| e.completes <= completes);
+        if self.entries.len() == self.capacity {
+            // The buffer's tail is full but expiry freed its head: shift the
+            // live entries down once instead of growing the buffer.
+            self.entries.drain(..self.head);
+            self.head = 0;
+        }
+        let at = self.head + self.live().partition_point(|e| e.completes <= completes);
         self.entries.insert(at, Entry { key, completes, is_write });
-        self.per_orient[orient_of(key)] += 1;
+        self.lines.add(key);
+        self.tiles.add(key >> 3);
+    }
+
+    /// Whether the filters admit `line`, so a lookup of it scans: `false`
+    /// proves the file holds no live entry for it, `true` may be a filter
+    /// collision. Exposed for the filter tests; decisions never depend on a
+    /// collision.
+    pub fn may_hold(&self, line: &LineKey) -> bool {
+        self.admits(line.pack())
+    }
+
+    /// Whether the tile filter admits a live entry of the other orientation
+    /// in `line`'s tile (the lines a miss on `line` is ordered against):
+    /// `false` is definitive, `true` may be a collision. Exposed for the
+    /// filter tests.
+    pub fn may_cross(&self, line: &LineKey) -> bool {
+        self.tiles.may_contain((line.pack() >> 3) ^ 1)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property tests: `SetArray` against a reference LRU model.
 
-use mda_cache::set_array::SetArray;
+use mda_cache::set_array::{Filled, SetArray};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -18,15 +18,17 @@ impl RefSet {
         Some(e.1)
     }
 
-    fn insert(&mut self, key: u64, meta: u8, assoc: usize) -> Option<(u64, u8)> {
+    /// A resident key becomes MRU with `meta` merged in (`Ok`); an absent
+    /// one is inserted, evicting the LRU entry of a full set (`Err`).
+    fn fill(&mut self, key: u64, meta: u8, assoc: usize) -> Result<u8, Option<(u64, u8)>> {
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(pos);
-            self.entries.push_back((key, meta));
-            return None;
+            let (_, old) = self.entries.remove(pos).expect("position valid");
+            self.entries.push_back((key, old | meta));
+            return Ok(old | meta);
         }
         let victim = if self.entries.len() >= assoc { self.entries.pop_front() } else { None };
         self.entries.push_back((key, meta));
-        victim
+        Err(victim)
     }
 
     fn remove(&mut self, key: u64) -> Option<u8> {
@@ -38,14 +40,14 @@ impl RefSet {
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Get(u64),
-    Insert(u64, u8),
+    Fill(u64, u8),
     Remove(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..12).prop_map(Op::Get),
-        (0u64..12, any::<u8>()).prop_map(|(k, m)| Op::Insert(k, m)),
+        (0u64..12, any::<u8>()).prop_map(|(k, m)| Op::Fill(k, m)),
         (0u64..12).prop_map(Op::Remove),
     ]
 }
@@ -64,9 +66,15 @@ proptest! {
                     let got = array.get_mut(0, k).map(|m| *m);
                     prop_assert_eq!(got, model.get(k));
                 }
-                Op::Insert(k, m) => {
-                    let evicted = array.insert(0, k, m);
-                    prop_assert_eq!(evicted, model.insert(k, m, assoc));
+                Op::Fill(k, m) => {
+                    let got = match array.fill(0, k, m) {
+                        Filled::Hit(meta) => {
+                            *meta |= m;
+                            Ok(*meta)
+                        }
+                        Filled::Inserted(evicted) => Err(evicted),
+                    };
+                    prop_assert_eq!(got, model.fill(k, m, assoc));
                 }
                 Op::Remove(k) => {
                     prop_assert_eq!(array.remove(0, k), model.remove(k));
@@ -82,7 +90,7 @@ proptest! {
     fn sets_are_disjoint(keys in proptest::collection::vec(0u64..64, 1..64)) {
         let mut array: SetArray<u64, usize> = SetArray::new(4, 16);
         for (i, k) in keys.iter().enumerate() {
-            array.insert((k % 4) as usize, *k, i);
+            array.fill((k % 4) as usize, *k, i);
         }
         for set in 0..4 {
             for (k, _) in array.iter_set(set) {

@@ -69,6 +69,10 @@ impl std::fmt::Display for Orientation {
 /// Identifier of a 512-byte 2-D block in the physical address space.
 pub type TileId = u64;
 
+/// The largest tile id: the tile of the last word of the 64-bit address
+/// space, `(1 << 55) - 1`.
+pub const MAX_TILE: TileId = u64::MAX / TILE_BYTES;
+
 /// A word-aligned physical address.
 ///
 /// All memory operations in the workspace are expressed in terms of words;
@@ -244,6 +248,26 @@ impl LineKey {
             Orientation::Col => TILE_LINES as u8 + self.idx,
         }
     }
+
+    /// Packs the line as `tile << 4 | orient << 3 | idx` (orient 1 for
+    /// columns), so two packed keys differ only in bit 3 exactly when they
+    /// are lines of opposite orientation in one tile, and `key >> 3`
+    /// identifies a (tile, orientation) pair. Every tile is at most
+    /// [`MAX_TILE`], so every packed key is below `1 << 59`.
+    #[inline]
+    pub fn pack(&self) -> u64 {
+        debug_assert!(self.tile <= MAX_TILE, "tile {} does not fit a packed line key", self.tile);
+        let orient = u64::from(self.orient == Orientation::Col);
+        self.tile << 4 | orient << 3 | u64::from(self.idx)
+    }
+
+    /// Inverse of [`LineKey::pack`].
+    #[inline]
+    pub fn unpack(key: u64) -> LineKey {
+        debug_assert!(key >> 4 <= MAX_TILE, "{key:#x} is not a packed line key");
+        let orient = if key >> 3 & 1 == 1 { Orientation::Col } else { Orientation::Row };
+        LineKey { tile: key >> 4, orient, idx: (key & 7) as u8 }
+    }
 }
 
 impl std::fmt::Display for LineKey {
@@ -386,6 +410,55 @@ mod tests {
         assert_eq!(d1.channel, 1);
         assert_eq!(d4.channel, 0);
         assert_eq!(d4.bank, 1);
+    }
+
+    #[test]
+    fn pack_round_trips_every_orientation_and_index() {
+        for tile in [0, 1, 0x1234_5678, MAX_TILE - 1, MAX_TILE] {
+            for orient in Orientation::BOTH {
+                for idx in 0..TILE_LINES as u8 {
+                    let line = LineKey::new(tile, orient, idx);
+                    let key = line.pack();
+                    assert_eq!(LineKey::unpack(key), line);
+                    assert!(key < 1 << 59);
+                    assert_eq!(key >> 4, tile);
+                    assert_eq!(key >> 3 & 1, u64::from(orient == Orientation::Col));
+                    assert_eq!(key & 7, u64::from(idx));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packing_is_injective_and_flags_cross_orientation_pairs() {
+        let lines: Vec<LineKey> = [3, MAX_TILE]
+            .into_iter()
+            .flat_map(|t| Orientation::BOTH.map(|o| (t, o)))
+            .flat_map(|(t, o)| (0..TILE_LINES as u8).map(move |i| LineKey::new(t, o, i)))
+            .collect();
+        for a in &lines {
+            for b in &lines {
+                assert_eq!(a.pack() == b.pack(), a == b);
+                let cross = a.tile == b.tile && a.orient != b.orient;
+                assert_eq!((a.pack() ^ b.pack()) >> 3 == 1, cross, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_word_of_memory_packs_below_bit_59() {
+        let tile = WordAddr(u64::MAX).tile();
+        assert_eq!(tile, MAX_TILE);
+        assert_eq!(MAX_TILE, (1 << 55) - 1);
+        let top = LineKey::new(tile, Orientation::Col, 7).pack();
+        assert_eq!(top, (1 << 59) - 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not fit a packed line key")]
+    fn packing_an_out_of_range_tile_is_caught() {
+        let _ = LineKey::new(MAX_TILE + 1, Orientation::Row, 0).pack();
     }
 
     #[test]

@@ -29,6 +29,15 @@ pub enum ConfigError {
         /// The required granularity.
         of: u64,
     },
+    /// A field exceeds its largest supported value.
+    TooLarge {
+        /// The offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
     /// Write-queue watermarks are inverted or exceed the queue capacity.
     Watermarks {
         /// Drain-target (low) watermark.
@@ -56,6 +65,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NotAMultiple { field, value, of } => {
                 write!(f, "{field} ({value}) must be a multiple of {of}")
+            }
+            ConfigError::TooLarge { field, value, max } => {
+                write!(f, "{field} ({value}) must be at most {max}")
             }
             ConfigError::Watermarks { low, high, capacity } => write!(
                 f,
@@ -86,6 +98,8 @@ mod tests {
         assert!(e.to_string().contains("power of two"));
         let e = ConfigError::NotAMultiple { field: "size", value: 1000, of: 64 };
         assert!(e.to_string().contains("multiple"));
+        let e = ConfigError::TooLarge { field: "mshrs", value: 70_000, max: 65_535 };
+        assert!(e.to_string().contains("at most 65535"));
         let e = ConfigError::Watermarks { low: 9, high: 9, capacity: 8 };
         assert!(e.to_string().contains("low 9"));
     }

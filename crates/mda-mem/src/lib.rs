@@ -41,8 +41,8 @@ pub mod stats;
 pub mod timing;
 
 pub use addr::{
-    DecodedAddr, LineKey, Orientation, TileId, WordAddr, LINE_BYTES, LINE_WORDS, TILE_BYTES,
-    TILE_LINES, WORD_BYTES,
+    DecodedAddr, LineKey, Orientation, TileId, WordAddr, LINE_BYTES, LINE_WORDS, MAX_TILE,
+    TILE_BYTES, TILE_LINES, WORD_BYTES,
 };
 pub use config::MemConfig;
 pub use controller::MainMemory;

@@ -6,10 +6,11 @@
 # Steps:
 #   1. release build of the whole workspace
 #   2. full test suite (unit + integration + property tests)
-#   3. release unit and integration tests of mda-cache, mda-sim,
-#      mda-compiler and mda-workloads (the root `cargo test` runs only the
-#      facade crate's tests, not their MSHR, cache-level, hierarchy,
-#      trace-cursor and HTAP tests)
+#   3. release unit and integration tests of every workspace crate:
+#      mda-mem, mda-cache, mda-sim, mda-compiler, mda-workloads, mda-check
+#      and mda-bench (the root `cargo test` runs only the facade crate's
+#      tests, not their address-packing, MSHR, cache-level, hierarchy,
+#      trace-cursor, HTAP, model-checker and harness tests)
 #   4. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
 #   5. `--csv` must leave the text output byte-identical, and an unknown
@@ -36,8 +37,9 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
-echo "== tests: mda-cache + mda-sim + mda-compiler + mda-workloads crate tests (release) =="
-cargo test -q --release -p mda-cache -p mda-sim -p mda-compiler -p mda-workloads
+echo "== tests: every workspace crate's tests (release) =="
+cargo test -q --release -p mda-mem -p mda-cache -p mda-sim -p mda-compiler -p mda-workloads \
+    -p mda-check -p mda-bench
 
 echo "== lint: clippy (warnings + perf) on the whole workspace =="
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::perf

@@ -7,9 +7,16 @@
 //! The sequences honour the one contract the sorted file relies on: a line
 //! is only `complete`d while the file holds no entry for it (the hierarchy
 //! calls `complete` only after an `Allocated` decision).
+//!
+//! The file's two counting filters (over lines, and over a tile's lines of
+//! one orientation) may only skip scans that would find nothing. Before
+//! each lookup the test checks them against the oracle's live entries: a
+//! filter must admit every live line, and the shapes whose tile ids alias
+//! in the filter slots must see it admit absent ones too, so collisions are
+//! exercised and shown harmless.
 
 use mda_cache::mshr::MshrDecision;
-use mda_cache::Mshr;
+use mda_cache::{CacheConfig, Mshr};
 use mda_mem::{Cycle, LineKey, Orientation};
 
 /// The original MSHR file: an unsorted `Vec` scanned and compacted in full
@@ -166,31 +173,71 @@ struct Coverage {
     full_completes: u64,
     backward_steps: u64,
     tied_completes: u64,
+    /// The filters admitted a line with no live entry (a scan in vain).
+    line_maybe_absent: u64,
+    /// The tile filter admitted a miss with no live other-orientation line
+    /// in its tile.
+    cross_maybe_absent: u64,
 }
 
 /// The shape of one replayed sequence.
 struct Shape {
     capacity: usize,
-    tiles: u64,
+    /// The tile ids lines are drawn from.
+    tiles: Vec<u64>,
     idxs: u64,
     /// Upper bound of a fill latency; long latencies fill the file.
     max_latency: u64,
 }
 
-/// Tile ids used by a sequence: small ids plus one near the top of the
-/// packed-key range, so the packing's high bits are exercised.
-fn tile_id(k: u64) -> u64 {
-    if k == 0 {
-        (1 << 54) + 3
-    } else {
-        k
-    }
+/// `n` tile ids: small ids plus one near the top of the packed-key range,
+/// so the packing's high bits are exercised.
+fn tile_ids(n: u64) -> Vec<u64> {
+    (0..n).map(|k| if k == 0 { (1 << 54) + 3 } else { k }).collect()
+}
+
+/// `n` tile ids besides `base` for which `aliases` holds, given a file
+/// whose only live entry is `seed`. A filter's hash is private, so aliasing
+/// ids are found by asking the filters themselves.
+fn aliasing_tiles(
+    base: u64,
+    seed: LineKey,
+    n: usize,
+    aliases: impl Fn(&Mshr, u64) -> bool,
+) -> Vec<u64> {
+    let mut m = Mshr::new(1);
+    m.complete(seed, false, Cycle::MAX);
+    let mut tiles = vec![base];
+    tiles.extend((base + 1..base + (1 << 24)).filter(|&t| aliases(&m, t)).take(n));
+    assert_eq!(tiles.len(), n + 1, "the filters alias too few of 16M tile ids");
+    tiles
 }
 
 fn random_line(rng: &mut Rng, shape: &Shape) -> LineKey {
     let orient = if rng.chance(50) { Orientation::Row } else { Orientation::Col };
     let idx = rng.below(shape.idxs) as u8;
-    LineKey::new(tile_id(rng.below(shape.tiles)), orient, idx)
+    let tile = shape.tiles[rng.below(shape.tiles.len() as u64) as usize];
+    LineKey::new(tile, orient, idx)
+}
+
+/// Checks the filters against the oracle's live entries before a lookup
+/// of `line` at `now`. The checks run on copies expired to `now`, so the
+/// files under test still expire stale entries on their own.
+fn check_filters(new: &Mshr, old: &oracle::Mshr, line: &LineKey, now: Cycle, cov: &mut Coverage) {
+    let (mut new, mut old) = (new.clone(), old.clone());
+    new.expire(now);
+    old.expire(now);
+    if old.holds(line) {
+        assert!(new.may_hold(line), "filters deny live {line}");
+    } else {
+        cov.line_maybe_absent += u64::from(new.may_hold(line));
+    }
+    let other = line.orient.other();
+    if (0..8).any(|idx| old.holds(&LineKey::new(line.tile, other, idx))) {
+        assert!(new.may_cross(line), "tile filter denies a live line crossing {line}");
+    } else {
+        cov.cross_maybe_absent += u64::from(new.may_cross(line));
+    }
 }
 
 /// A latency drawn from a coarse grid, so completions often tie.
@@ -235,6 +282,7 @@ fn replay(seed: u64, shape: &Shape, ops: usize, cov: &mut Coverage) {
         let is_write = rng.chance(30);
         match rng.below(100) {
             0..=44 => {
+                check_filters(&new, &old, &line, now, cov);
                 let got = new.on_miss(line, is_write, now);
                 let want = old.on_miss(line, is_write, now);
                 assert_eq!(got, want, "{}", ctx("on_miss"));
@@ -254,6 +302,7 @@ fn replay(seed: u64, shape: &Shape, ops: usize, cov: &mut Coverage) {
                 }
             }
             45..=84 => {
+                check_filters(&new, &old, &line, now, cov);
                 let got = new.pending_completion(&line, now);
                 let want = old.pending_completion(&line, now);
                 assert_eq!(got, want, "{}", ctx("pending_completion"));
@@ -285,9 +334,9 @@ fn sorted_mshr_matches_the_linear_oracle() {
             // Alternate a crowded line pool (coalescing, same-tile row/column
             // mixes) with a wide one (more lines than registers).
             let shape = if seed % 2 == 0 {
-                Shape { capacity, tiles: 2, idxs: 3, max_latency: 96 }
+                Shape { capacity, tiles: tile_ids(2), idxs: 3, max_latency: 96 }
             } else {
-                Shape { capacity, tiles: 8, idxs: 8, max_latency: 32 * capacity as u64 }
+                Shape { capacity, tiles: tile_ids(8), idxs: 8, max_latency: 32 * capacity as u64 }
             };
             replay(seed * 0x1000 + capacity as u64, &shape, 4000, &mut cov);
         }
@@ -307,4 +356,150 @@ fn sorted_mshr_matches_the_linear_oracle() {
             "capacity {capacity}: no tied completions: {cov:?}"
         );
     }
+}
+
+#[test]
+fn aliasing_lines_only_cost_a_scan() {
+    // Tiles whose row 0 shares the line-filter slot of tile 5's row 0:
+    // their rows 0 collide with each other in the filter.
+    let row0 = |t| LineKey::new(t, Orientation::Row, 0);
+    let tiles = aliasing_tiles(5, row0(5), 5, |m, t| m.may_hold(&row0(t)));
+    for capacity in [2, 4, 16] {
+        let mut cov = Coverage::default();
+        for seed in 0..8u64 {
+            let shape = Shape {
+                capacity,
+                tiles: tiles.clone(),
+                idxs: 1,
+                max_latency: 16 * capacity as u64,
+            };
+            replay(0xA11A5 + seed * 0x100 + capacity as u64, &shape, 3000, &mut cov);
+        }
+        assert!(
+            cov.line_maybe_absent > 0,
+            "capacity {capacity}: line filter never collided: {cov:?}"
+        );
+        assert!(cov.coalesced > 0 && cov.ordered > 0, "capacity {capacity}: {cov:?}");
+    }
+}
+
+#[test]
+fn aliasing_cross_orientation_tiles_only_cost_a_scan() {
+    // Tiles whose column lines share the tile-filter slot of tile 9's
+    // columns: a miss on any of their rows is admitted by the filter, but
+    // only tile 9's own columns overlap it.
+    let col0 = |t| LineKey::new(t, Orientation::Col, 0);
+    let row0 = |t| LineKey::new(t, Orientation::Row, 0);
+    let tiles = aliasing_tiles(9, col0(9), 3, |m, t| m.may_cross(&row0(t)));
+    for capacity in [2, 8, 32] {
+        let mut cov = Coverage::default();
+        for seed in 0..8u64 {
+            let shape = Shape {
+                capacity,
+                tiles: tiles.clone(),
+                idxs: 4,
+                max_latency: 16 * capacity as u64,
+            };
+            replay(0xC055 + seed * 0x100 + capacity as u64, &shape, 3000, &mut cov);
+        }
+        assert!(
+            cov.cross_maybe_absent > 0,
+            "capacity {capacity}: tile filter never collided: {cov:?}"
+        );
+        assert!(cov.ordered > 0, "capacity {capacity}: no overlap ordering: {cov:?}");
+    }
+}
+
+/// Fills a `capacity`-register file with `lines` (all live at once), then
+/// checks every lookup against the oracle, a stall on the full file, and
+/// that the filters empty again once everything expired.
+fn fill_with_aliasing_lines(capacity: usize, lines: &[LineKey], probes: &[LineKey]) {
+    let mut new = Mshr::new(capacity);
+    let mut old = oracle::Mshr::new(capacity);
+    let now = 10;
+    for (i, line) in lines.iter().enumerate() {
+        let is_write = i % 3 == 0;
+        let got = new.on_miss(*line, is_write, now);
+        assert_eq!(got, old.on_miss(*line, is_write, now), "allocating {line}");
+        let done = 1000 + i as Cycle;
+        new.complete(*line, is_write, done);
+        old.complete(*line, is_write, done);
+        // A count that wrapped to zero would deny the line just added.
+        assert!(new.may_hold(line), "line filter lost {line} at {} entries", i + 1);
+        let crossing = LineKey::new(line.tile, line.orient.other(), 0);
+        assert!(new.may_cross(&crossing), "tile filter lost {line} at {} entries", i + 1);
+    }
+    assert_eq!(new.outstanding(), lines.len());
+    for line in lines.iter().chain(probes) {
+        assert!(!old.holds(line) || new.may_hold(line), "line filter denies live {line}");
+        assert_eq!(new.pending_completion(line, now), old.pending_completion(line, now), "{line}");
+        for is_write in [false, true] {
+            let (mut n, mut o) = (new.clone(), old.clone());
+            assert_eq!(
+                n.on_miss(*line, is_write, now),
+                o.on_miss(*line, is_write, now),
+                "miss on {line}"
+            );
+        }
+    }
+    new.expire(Cycle::MAX);
+    old.expire(Cycle::MAX);
+    assert_eq!(new.outstanding(), 0);
+    for line in lines.iter().chain(probes) {
+        assert!(!new.may_hold(line) && !new.may_cross(line), "filter kept a count for {line}");
+    }
+    // Expiry must leave both filters as a fresh file's: give the drained
+    // file and a fresh one the same new line, beside the first line in its
+    // tile and orientation, and compare every answer.
+    let first = lines[0];
+    let beside = (0..8).map(|idx| LineKey::new(first.tile, first.orient, idx));
+    if let Some(sibling) = beside.rev().find(|l| !lines.contains(l)) {
+        let mut fresh = Mshr::new(capacity);
+        new.complete(sibling, false, 5000);
+        fresh.complete(sibling, false, 5000);
+        for line in lines.iter().chain(probes) {
+            assert_eq!(new.may_hold(line), fresh.may_hold(line), "stale count for {line}");
+            assert_eq!(new.may_cross(line), fresh.may_cross(line), "stale count for {line}");
+        }
+    }
+}
+
+#[test]
+fn filter_counts_hold_more_than_255_aliasing_entries() {
+    // A filter slot counts at most every live entry, and
+    // `CacheConfig::validate` accepts up to `Mshr::MAX_CAPACITY` of them,
+    // so a slot must count past a byte. 300 live lines share one slot of
+    // both filters, then 300 live rows (of 38 tiles) share one tile-filter
+    // slot.
+    let mut cfg = CacheConfig::l1_32k();
+    cfg.mshrs = Mshr::MAX_CAPACITY;
+    assert_eq!(cfg.validate(), Ok(()));
+    assert_eq!(Mshr::new(Mshr::MAX_CAPACITY).outstanding(), 0);
+    cfg.mshrs += 1;
+    assert!(cfg.validate().is_err(), "validate must bound the filter counts");
+
+    let capacity = 300;
+    let row3 = |t| LineKey::new(t, Orientation::Row, 3);
+    let lines: Vec<LineKey> = aliasing_tiles(1, row3(1), capacity - 1, |m, t| m.may_hold(&row3(t)))
+        .into_iter()
+        .map(row3)
+        .collect();
+    let probes = [LineKey::new(lines[7].tile, Orientation::Col, 3), row3(0)];
+    fill_with_aliasing_lines(capacity, &lines, &probes);
+
+    let row0 = |t| LineKey::new(t, Orientation::Row, 0);
+    let tiles = aliasing_tiles(1, row0(1), capacity / 8, |m, t| {
+        m.may_cross(&LineKey::new(t, Orientation::Col, 0))
+    });
+    let rows: Vec<LineKey> = tiles
+        .iter()
+        .flat_map(|&t| (0..8).map(move |idx| LineKey::new(t, Orientation::Row, idx)))
+        .take(capacity)
+        .collect();
+    assert_eq!(rows.len(), capacity);
+    let crossing = [
+        LineKey::new(tiles[3], Orientation::Col, 5),
+        LineKey::new(tiles[0] + 1, Orientation::Col, 5),
+    ];
+    fill_with_aliasing_lines(capacity, &rows, &crossing);
 }

@@ -20,7 +20,7 @@ use std::panic::{self, AssertUnwindSafe};
 /// mode of `Cache2P2L`.
 mod oracle {
     use mda_cache::level::{Access, AccessWidth, CacheLevel, Probe, Writeback};
-    use mda_cache::set_array::SetArray;
+    use mda_cache::set_array::{Filled, SetArray};
     use mda_cache::{CacheConfig, CacheStats};
     use mda_mem::{LineKey, Orientation, TileId, TILE_LINES};
 
@@ -124,7 +124,7 @@ mod oracle {
                 row_valid: 1 << line.idx,
                 row_dirty: if dirty != 0 { 1 << line.idx } else { 0 },
             };
-            if let Some((victim, vm)) = self.array.insert(set, line.tile, meta) {
+            if let Filled::Inserted(Some((victim, vm))) = self.array.fill(set, line.tile, meta) {
                 self.stats.writebacks_out += Self::push_writebacks(victim, &vm, out);
             }
         }
@@ -181,7 +181,7 @@ mod oracle {
                 for idx in 0..TILE_LINES as u8 {
                     if meta.row_valid & (1 << idx) != 0 {
                         let dirty = if meta.row_dirty & (1 << idx) != 0 { 0xFF } else { 0 };
-                        f(LineKey::new(*tile, Orientation::Row, idx), dirty);
+                        f(LineKey::new(tile, Orientation::Row, idx), dirty);
                     }
                 }
             }
