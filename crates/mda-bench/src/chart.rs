@@ -18,7 +18,7 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 /// Downsamples `values` to at most `width` points by averaging buckets.
-pub fn downsample(values: &[f64], width: usize) -> Vec<f64> {
+fn downsample(values: &[f64], width: usize) -> Vec<f64> {
     if values.is_empty() || width == 0 {
         return Vec::new();
     }

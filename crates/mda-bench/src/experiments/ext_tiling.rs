@@ -23,7 +23,7 @@ pub const BLOCK: i64 = 8;
 /// # Panics
 /// Panics if `n` is not a multiple of the block size (rectangular tiling
 /// only).
-pub fn sgemm_blocked(n: u64) -> Program {
+fn sgemm_blocked(n: u64) -> Program {
     tile_program(&sgemm(n), |_, nest| {
         // Tile every rectangular loop of the (j, i, k) nest.
         Some((0..nest.depth()).map(|v| (v, BLOCK)).collect())

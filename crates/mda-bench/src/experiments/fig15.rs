@@ -52,7 +52,7 @@ fn sample_interval(scale: Scale) -> u64 {
 }
 
 /// Renders the timelines, downsampled to at most `points` rows each.
-pub fn render_with_points(scale: Scale, points: usize) -> String {
+fn render_with_points(scale: Scale, points: usize) -> String {
     let mut out = String::from("Fig. 15 — column-line occupancy over time (1P2L)\n");
     for kt in run(scale) {
         let samples = kt.timeline.samples();

@@ -5,14 +5,14 @@
 //! harness scales with cores. This module provides the fan-out layer the
 //! experiments submit their cells through:
 //!
-//! * [`par_map`]/[`par_try_map_with`] — run a closure over a slice on a scoped
-//!   worker pool (plain `std::thread::scope`; no external crates) and
-//!   reassemble the results **in input order**, so every table and CSV
-//!   downstream is byte-identical to a sequential run. Each cell runs
-//!   under `catch_unwind`: a panicking cell is retried once, and a cell
-//!   that fails twice becomes an `Err` (the `try` variants) or aborts the
-//!   map (`par_map`, preserving its infallible contract) — it never
-//!   poisons the pool or takes the other cells down with it.
+//! * [`par_map`] — run a closure over a slice on a scoped worker pool
+//!   (plain `std::thread::scope`; no external crates) and reassemble the
+//!   results **in input order**, so every table and CSV downstream is
+//!   byte-identical to a sequential run. Each cell runs under
+//!   `catch_unwind`: a panicking cell is retried once, and a cell that
+//!   fails twice aborts the map (`par_map`'s infallible contract) or
+//!   becomes a [`CellFailure`] ([`run_cells`]) — it never poisons the pool
+//!   or takes the other cells down with it.
 //!   [`par_map_distinct`] computes equal items once.
 //! * [`Cell`]/[`run_cells`] — the labeled `(kernel, input, system)` unit
 //!   the figure experiments and the `sweep` binary fan out. `run_cells`
@@ -129,8 +129,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// order.
 ///
 /// # Panics
-/// Panics if a cell panics twice in a row (once plus the automatic retry);
-/// use [`par_try_map_with`] to handle failures gracefully.
+/// Panics if a cell panics twice in a row (once plus the automatic retry).
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -199,7 +198,7 @@ fn dedup<T: PartialEq>(items: impl Iterator<Item = T>) -> (Vec<T>, Vec<usize>) {
 /// Maps `f` over `items` on an explicit number of workers with panic
 /// isolation, returning per-item `Result`s in input order. Every item
 /// counts as submitted and simulated.
-pub fn par_try_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
+fn par_try_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,

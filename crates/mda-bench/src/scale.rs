@@ -141,6 +141,18 @@ mod tests {
     }
 
     #[test]
+    fn every_llc_sweep_preset_validates() {
+        for s in [Scale::Tiny, Scale::Scaled, Scale::Paper] {
+            for kind in HierarchyKind::all() {
+                for llc in s.llc_sweep() {
+                    let cfg = s.system_with_llc(kind, llc);
+                    assert_eq!(cfg.validate(), Ok(()), "{s} {kind:?} {llc}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cache_resident_is_two_level_and_roomy() {
         for s in [Scale::Tiny, Scale::Scaled, Scale::Paper] {
             let cfg = s.cache_resident_system(HierarchyKind::P1L2DifferentSet);

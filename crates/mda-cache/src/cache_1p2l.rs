@@ -14,10 +14,11 @@
 //!   the price of set-conflict pressure.
 //!
 //! Duplicate words (intersecting row/column lines co-resident) are managed
-//! by the Fig. 9 policy in [`crate::policy`]: duplication is allowed only
-//! while clean; writes evict other copies; fills write dirty intersections
-//! back first. Per-word dirty bits (one per word, paper Sec. IV-C) keep
-//! false sharing from inflating writeback traffic.
+//! by the Fig. 9 policy: duplication is allowed only while clean; writes
+//! evict other copies; fills write dirty intersections back first (the
+//! `mda-check` model checker proves these invariants against this cache).
+//! Per-word dirty bits (one per word, paper Sec. IV-C) keep false sharing
+//! from inflating writeback traffic.
 
 use crate::config::{CacheConfig, SetMapping};
 use crate::level::{Access, AccessWidth, CacheLevel, Probe, Writeback, WritebackSink};

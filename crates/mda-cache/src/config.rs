@@ -101,7 +101,7 @@ impl CacheConfig {
     }
 
     /// Number of 512-byte tile frames the capacity holds (2P2L).
-    pub fn tile_frames(&self) -> usize {
+    fn tile_frames(&self) -> usize {
         (self.size_bytes / mda_mem::TILE_BYTES) as usize
     }
 

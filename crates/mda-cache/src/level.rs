@@ -144,16 +144,6 @@ impl Probe {
         }
     }
 
-    /// A plain miss demanding `line`.
-    pub fn miss(line: LineKey) -> Probe {
-        Probe {
-            hit: false,
-            extra_tag_accesses: 0,
-            fills: InlineVec::of(line),
-            writebacks: InlineVec::new(),
-        }
-    }
-
     /// Reinitializes to a plain hit in O(1): lengths are reset without
     /// touching the inline buffers, so a recycled `Probe` costs no
     /// re-zeroing on the per-access hot path.

@@ -40,7 +40,6 @@ pub mod inline_vec;
 pub mod level;
 pub mod level_kind;
 pub mod mshr;
-pub mod policy;
 pub mod prefetch;
 pub mod set_array;
 pub mod stats;

@@ -92,11 +92,6 @@ impl StridePrefetcher {
         }
     }
 
-    /// Prefetch degree.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
     /// Observes a demand access by `stream` to the 64-byte-aligned
     /// `line_addr`, returning the line addresses to prefetch (empty until
     /// the stride is confident).

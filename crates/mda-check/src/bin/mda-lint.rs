@@ -4,8 +4,9 @@
 //! mda-lint [ROOT]
 //! ```
 //!
-//! Scans `ROOT/crates/*/src/**/*.rs` (default `.`) and prints one
-//! `file:line: [rule] message` per violation. Exits 1 if any violation is
+//! Lints `ROOT/crates/*/src/**/*.rs` (default `.`; the `dead-pub` rule
+//! also reads `ROOT/{crates,src,tests,examples,perfbench/src}` for uses)
+//! and prints one `file:line: [rule] message` per violation. Exits 1 if any violation is
 //! found, 2 on usage or I/O errors. The rule catalog lives in
 //! `mda_check::lint` and DESIGN.md.
 

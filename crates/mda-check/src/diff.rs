@@ -16,7 +16,7 @@
 use crate::model::{Model1P2L, Mutation, MODEL_TILE};
 use crate::model2p2l::Model2P2L;
 use crate::ops::{apply_1p2l, apply_2p2l, ModelStep, Op};
-use crate::sequences::{diff_alphabet, for_each_sequence, sequence_count};
+use crate::sequences::{diff_alphabet, for_each_sequence};
 use mda_cache::{
     Access, CacheConfig, CacheLevel, CacheStats, InlineVec, Probe, SetMapping, Writeback,
     Cache1P2L, Cache2P2L,
@@ -79,13 +79,6 @@ pub struct DiffReport {
     pub steps: usize,
     /// First divergence found, if any.
     pub mismatch: Option<DiffMismatch>,
-}
-
-impl DiffReport {
-    /// Whether every sequence agreed.
-    pub fn is_clean(&self) -> bool {
-        self.mismatch.is_none()
-    }
 }
 
 /// Either abstract model, unified for the replay loop.
@@ -376,11 +369,6 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
     DiffReport { sequences, steps, mismatch }
 }
 
-/// Expected sequence total for progress reporting.
-pub fn expected_sequences(cfg: &DiffConfig) -> usize {
-    sequence_count(diff_alphabet(cfg.sub).len(), cfg.depth, cfg.random) * targets().len()
-}
-
 /// A [`CacheLevel`] test double that silently drops one word offset from
 /// every writeback it emits — the seeded coherence bug the mutation tests
 /// require the differential mode to catch.
@@ -511,7 +499,7 @@ mod tests {
     #[test]
     fn real_levels_agree_with_models_on_short_sequences() {
         let report = run_differential(&quick());
-        assert!(report.is_clean(), "{}", report.mismatch.unwrap());
+        assert!(report.mismatch.is_none(), "{}", report.mismatch.unwrap());
         assert!(report.sequences > 0 && report.steps > 0);
     }
 

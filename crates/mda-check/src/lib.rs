@@ -15,8 +15,8 @@
 //!    is not vacuous.
 //! 2. **Source lint.** [`lint`] scans `crates/*/src` with a hand-rolled
 //!    lexer ([`lexer`]) and enforces the repo's hot-path allocation,
-//!    no-panic, determinism, and wall-clock rules; see the `mda-lint`
-//!    binary.
+//!    no-panic, determinism, wall-clock and no-unused-`pub fn` rules; see
+//!    the `mda-lint` binary.
 //!
 //! ```
 //! use mda_check::explore::{explore_1p2l, ExploreConfig};

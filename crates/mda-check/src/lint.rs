@@ -13,20 +13,26 @@
 //!   nondeterministic).
 //! * `wall-clock` — `Instant::now` / `SystemTime` are allowed only in
 //!   `mda-bench` (simulation results must not depend on host time).
+//! * `dead-pub` — a `pub fn` / `pub const fn` defined outside
+//!   `#[cfg(test)]` must be named, as a whole word outside comments and
+//!   strings, by some *other* `.rs` file under `crates/`, `src/`, `tests/`,
+//!   `examples/` or `perfbench/src` (an item nothing else calls is dead,
+//!   or private).
 //! * `bad-allow` — an `allow` directive without a reason string, or for an
 //!   unknown rule (suppressions must be auditable).
 //!
 //! A violation on line `N` is suppressed by
 //! `// mda-lint: allow(<rule>): <reason>` on line `N` or line `N-1`.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{scrub, Scrubbed};
 
 /// All rule IDs, in reporting order.
-pub const RULES: [&str; 5] =
-    ["hot-path-alloc", "lib-unwrap", "hash-iter", "wall-clock", "bad-allow"];
+pub const RULES: [&str; 6] =
+    ["hot-path-alloc", "lib-unwrap", "hash-iter", "wall-clock", "dead-pub", "bad-allow"];
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,6 +91,13 @@ fn parse_directives(scrubbed: &Scrubbed) -> Directives {
     Directives { hot_path, allows }
 }
 
+/// Whether a reasoned `allow(rule)` sits on `line` or the line above it.
+fn suppressed(allows: &[Allow], rule: &str, line: usize) -> bool {
+    allows
+        .iter()
+        .any(|a| a.has_reason && a.rule == rule && (a.line == line || a.line + 1 == line))
+}
+
 /// How a file participates in each rule, derived from its workspace path.
 #[derive(Debug, Clone, Copy)]
 struct FileScope {
@@ -121,12 +134,6 @@ pub fn lint_source(path: &Path, src: &str) -> Vec<Finding> {
     let scope = classify(path);
     let mut findings = Vec::new();
 
-    let suppressed = |rule: &str, line: usize| {
-        directives.allows.iter().any(|a| {
-            a.has_reason && a.rule == rule && (a.line == line || a.line + 1 == line)
-        })
-    };
-
     // A pattern that starts with an identifier character must match at a
     // word boundary (`Vec::new` must not fire inside `InlineVec::new`).
     let matches_pattern = |text: &str, pat: &str| -> bool {
@@ -152,7 +159,7 @@ pub fn lint_source(path: &Path, src: &str) -> Vec<Finding> {
                 continue;
             }
             for pat in patterns {
-                if matches_pattern(text, pat) && !suppressed(rule, line) {
+                if matches_pattern(text, pat) && !suppressed(&directives.allows, rule, line) {
                     findings.push(Finding {
                         file: path.to_path_buf(),
                         line,
@@ -204,24 +211,69 @@ pub fn lint_source(path: &Path, src: &str) -> Vec<Finding> {
     findings
 }
 
-/// Recursively collects the `.rs` files under `crates/*/src`, in sorted
-/// order for deterministic output.
-fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files)?;
+/// The directories whose `.rs` files count as users of a public item.
+const CONSUMER_DIRS: [&str; 5] = ["crates", "src", "tests", "examples", "perfbench/src"];
+
+/// Whether `path` (relative to the workspace root) is a library source
+/// file, `crates/*/src/**`: the files the rules lint.
+fn is_crate_source(path: &Path) -> bool {
+    let norm = path.to_string_lossy().replace('\\', "/");
+    let mut parts = norm.split('/');
+    parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
+}
+
+/// The name of the `pub fn` / `pub const fn` a scrubbed line starts with.
+fn pub_fn_name(text: &str) -> Option<&str> {
+    let rest = text.trim_start().strip_prefix("pub ")?.trim_start();
+    let rest = rest.strip_prefix("const ").map_or(rest, str::trim_start);
+    let rest = rest.strip_prefix("fn ")?.trim_start();
+    let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// The `dead-pub` rule over a set of `(path, source)` files: each `pub fn`
+/// defined outside `#[cfg(test)]` in a [`is_crate_source`] file must be
+/// named by another file of the set.
+fn dead_pub(files: &[(PathBuf, String)]) -> Vec<Finding> {
+    let scrubbed: Vec<Scrubbed> = files.iter().map(|(_, src)| scrub(src)).collect();
+    // Every identifier, with the indices of the files that name it.
+    let mut users: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (idx, file) in scrubbed.iter().enumerate() {
+        for text in &file.lines {
+            for word in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                let list = users.entry(word).or_default();
+                if list.last() != Some(&idx) {
+                    list.push(idx);
+                }
+            }
         }
     }
-    files.sort();
-    Ok(files)
+    let mut findings = Vec::new();
+    for (idx, ((path, _), file)) in files.iter().zip(&scrubbed).enumerate() {
+        if !is_crate_source(path) {
+            continue;
+        }
+        let allows = parse_directives(file).allows;
+        for (i, text) in file.lines.iter().enumerate() {
+            let line = i + 1;
+            let Some(name) = pub_fn_name(text) else {
+                continue;
+            };
+            let used_elsewhere = users.get(name).is_some_and(|f| f.iter().any(|&j| j != idx));
+            if !used_elsewhere
+                && !file.is_test_line(line)
+                && !suppressed(&allows, "dead-pub", line)
+            {
+                findings.push(Finding {
+                    file: path.clone(),
+                    line,
+                    rule: "dead-pub",
+                    message: format!("`{name}` is public but no other file uses it"),
+                });
+            }
+        }
+    }
+    findings
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -238,15 +290,30 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints every `crates/*/src/**/*.rs` under `root`. Paths in findings are
-/// reported relative to `root` when possible.
+/// Lints every `crates/*/src/**/*.rs` under `root`; `dead-pub` also reads
+/// the other consumer directories. Findings are sorted by file and line,
+/// with paths relative to `root`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for file in source_files(root)? {
-        let src = std::fs::read_to_string(&file)?;
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        findings.extend(lint_source(&rel, &src));
+    let mut paths = Vec::new();
+    for dir in CONSUMER_DIRS {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut paths)?;
+        }
     }
+    let mut files = Vec::with_capacity(paths.len());
+    for path in paths {
+        let src = std::fs::read_to_string(&path)?;
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+        files.push((rel, src));
+    }
+    let mut findings = dead_pub(&files);
+    for (rel, src) in &files {
+        if is_crate_source(rel) {
+            findings.extend(lint_source(rel, src));
+        }
+    }
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
 }
 
@@ -338,6 +405,56 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "wall-clock");
         assert!(lint_source(&PathBuf::from("crates/mda-bench/src/scale.rs"), src).is_empty());
+    }
+
+    fn files(list: &[(&str, &str)]) -> Vec<(PathBuf, String)> {
+        list.iter().map(|(p, s)| (PathBuf::from(p), s.to_string())).collect()
+    }
+
+    const DEF: &str = "crates/mda-mem/src/a.rs";
+
+    #[test]
+    fn unreferenced_pub_fn_is_flagged() {
+        let findings = dead_pub(&files(&[(DEF, "/// Docs.\npub fn lonely() {}\n")]));
+        assert_eq!(findings.len(), 1);
+        assert_eq!((findings[0].rule, findings[0].line), ("dead-pub", 2));
+        let konst = files(&[(DEF, "pub const fn lonely() -> u8 { 0 }\n")]);
+        assert_eq!(dead_pub(&konst).len(), 1, "pub const fn is in scope");
+    }
+
+    #[test]
+    fn a_reference_in_another_file_clears_dead_pub() {
+        for user in ["crates/mda-sim/src/b.rs", "tests/t.rs", "examples/e.rs", "perfbench/src/m.rs"] {
+            let set = files(&[(DEF, "pub fn used() {}\n"), (user, "fn f() { a::used(); }\n")]);
+            assert!(dead_pub(&set).is_empty(), "{user} counts as a user");
+        }
+    }
+
+    #[test]
+    fn own_file_and_comment_references_do_not_count() {
+        let own = files(&[(DEF, "pub fn f() {}\nfn g() { f(); }\n")]);
+        assert_eq!(dead_pub(&own).len(), 1, "a use in the defining file is not enough");
+        let comment = files(&[
+            (DEF, "pub fn f() {}\n"),
+            ("crates/mda-sim/src/b.rs", "// calls f\nconst S: &str = \"f\";\n"),
+        ]);
+        assert_eq!(dead_pub(&comment).len(), 1, "comments and strings are not uses");
+    }
+
+    #[test]
+    fn cfg_test_definitions_and_non_crate_files_are_ignored() {
+        let src = "#[cfg(test)]\npub fn helper() {}\n#[cfg(test)]\nmod t {\n    pub fn t() {}\n}\n";
+        assert!(dead_pub(&files(&[(DEF, src)])).is_empty());
+        assert!(dead_pub(&files(&[("tests/t.rs", "pub fn lonely() {}\n")])).is_empty());
+    }
+
+    #[test]
+    fn allow_with_reason_suppresses_dead_pub() {
+        let src = "// mda-lint: allow(dead-pub): kept for downstream users\npub fn f() {}\n";
+        assert!(dead_pub(&files(&[(DEF, src)])).is_empty());
+        let reasonless = "// mda-lint: allow(dead-pub)\npub fn f() {}\n";
+        assert_eq!(dead_pub(&files(&[(DEF, reasonless)])).len(), 1);
+        assert!(lint_source(Path::new(DEF), src).is_empty(), "dead-pub is a known rule");
     }
 
     #[test]

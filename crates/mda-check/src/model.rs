@@ -156,7 +156,7 @@ impl Model1P2L {
     }
 
     /// All `dim × dim` line keys of the model tile.
-    pub fn all_lines(&self) -> impl Iterator<Item = LineKey> + '_ {
+    fn all_lines(&self) -> impl Iterator<Item = LineKey> + '_ {
         let dim = self.dim;
         Orientation::BOTH
             .into_iter()

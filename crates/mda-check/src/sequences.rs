@@ -95,8 +95,9 @@ pub fn for_each_sequence(
     }
 }
 
-/// Number of sequences [`for_each_sequence`] visits (for reporting).
-pub fn sequence_count(alphabet_len: usize, depth: usize, random: usize) -> usize {
+/// Number of sequences [`for_each_sequence`] visits.
+#[cfg(test)]
+fn sequence_count(alphabet_len: usize, depth: usize, random: usize) -> usize {
     let mut total = 0usize;
     let mut pow = 1usize;
     for _ in 0..depth {

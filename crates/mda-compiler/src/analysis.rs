@@ -54,18 +54,10 @@ pub fn analyze_ref(r: &ArrayRef, innermost: VarId) -> RefAnalysis {
         (0, c) => RefAnalysis { direction: Direction::Row, unit_stride: c.abs() == 1 },
         (c, 0) => RefAnalysis { direction: Direction::Col, unit_stride: c.abs() == 1 },
         // Both subscripts move: a diagonal walk with no statically clear
-        // preference. A profiling annotation decides when present
-        // (paper Sec. V, last paragraph); otherwise classify column-wise,
-        // like the paper's Z[i+j][i+2] example, since the row subscript
-        // changes every iteration. Either way it is not unit-stride along
-        // either axis, so it cannot be vectorized.
-        (_, _) => {
-            let direction = match r.hint {
-                Some(mda_mem::Orientation::Row) => Direction::Row,
-                _ => Direction::Col,
-            };
-            RefAnalysis { direction, unit_stride: false }
-        }
+        // preference. Classify it column-wise, like the paper's Z[i+j][i+2]
+        // example, since the row subscript changes every iteration. It is
+        // not unit-stride along either axis, so it cannot be vectorized.
+        (_, _) => RefAnalysis { direction: Direction::Col, unit_stride: false },
     }
 }
 

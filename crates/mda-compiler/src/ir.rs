@@ -44,25 +44,19 @@ pub struct ArrayRef {
     /// Read or write.
     pub kind: RefKind,
     /// Globally unique static-instruction id, assigned by
-    /// [`Program::add_nest`]. Plays the role of the PC for the prefetcher
-    /// and the profiler.
+    /// [`Program::add_nest`]. Plays the role of the PC for the prefetcher.
     pub stream: u32,
-    /// Profiling-supplied direction annotation, consulted only when the
-    /// static analysis finds no decidable preference (paper Sec. V:
-    /// "profiling can be used to extract directional bias and then the
-    /// corresponding static load/store instructions can be annotated").
-    pub hint: Option<mda_mem::Orientation>,
 }
 
 impl ArrayRef {
     /// A read reference `array[row][col]`.
     pub fn read(array: ArrayId, row: AffineExpr, col: AffineExpr) -> ArrayRef {
-        ArrayRef { array, row, col, kind: RefKind::Read, stream: u32::MAX, hint: None }
+        ArrayRef { array, row, col, kind: RefKind::Read, stream: u32::MAX }
     }
 
     /// A write reference `array[row][col]`.
     pub fn write(array: ArrayId, row: AffineExpr, col: AffineExpr) -> ArrayRef {
-        ArrayRef { array, row, col, kind: RefKind::Write, stream: u32::MAX, hint: None }
+        ArrayRef { array, row, col, kind: RefKind::Write, stream: u32::MAX }
     }
 
     /// Whether this reference writes.
@@ -202,11 +196,6 @@ impl Program {
     pub fn nests(&self) -> &[LoopNest] {
         &self.nests
     }
-
-    /// Total data footprint in words (unpadded).
-    pub fn footprint_words(&self) -> u64 {
-        self.arrays.iter().map(|a| a.rows * a.cols).sum()
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +222,6 @@ mod tests {
         });
         let streams: Vec<u32> = p.nests().iter().flat_map(|n| n.refs.iter().map(|r| r.stream)).collect();
         assert_eq!(streams, vec![0, 1, 2]);
-        assert_eq!(p.footprint_words(), 32);
         assert_eq!(p.array_decl(b).name, "B");
     }
 

@@ -14,9 +14,9 @@
 //!   whose references move along columns can be vectorized too, because the
 //!   MDA hierarchy serves dense column lines. The trace generator lowers a
 //!   [`ir::Program`] to the annotated memory-operation stream the simulated
-//!   ISA would execute.
-//! * **Profiling fallback** ([`profile`]) — references without a decidable
-//!   static direction can be annotated from an address-delta profile.
+//!   ISA would execute. A reference with no decidable static direction
+//!   (both subscripts move) takes the column default; the paper's
+//!   profiling fallback is not modelled.
 //!
 //! ```
 //! use mda_compiler::ir::{Program, ArrayRef, Loop, LoopNest};
@@ -40,7 +40,6 @@ pub mod analysis;
 pub mod expr;
 pub mod ir;
 pub mod layout;
-pub mod profile;
 pub mod reuse;
 pub mod tiling;
 pub mod trace;

@@ -240,15 +240,6 @@ impl LineKey {
         self.word_at(0).byte_addr()
     }
 
-    /// A dense per-tile line number: rows are `0..8`, columns `8..16`.
-    #[inline]
-    pub fn slot_in_tile(&self) -> u8 {
-        match self.orient {
-            Orientation::Row => self.idx,
-            Orientation::Col => TILE_LINES as u8 + self.idx,
-        }
-    }
-
     /// Packs the line as `tile << 4 | orient << 3 | idx` (orient 1 for
     /// columns), so two packed keys differ only in bit 3 exactly when they
     /// are lines of opposite orientation in one tile, and `key >> 3`
@@ -459,17 +450,5 @@ mod tests {
     #[should_panic(expected = "does not fit a packed line key")]
     fn packing_an_out_of_range_tile_is_caught() {
         let _ = LineKey::new(MAX_TILE + 1, Orientation::Row, 0).pack();
-    }
-
-    #[test]
-    fn slot_in_tile_is_dense_and_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for orient in Orientation::BOTH {
-            for idx in 0..8 {
-                assert!(seen.insert(LineKey::new(0, orient, idx).slot_in_tile()));
-            }
-        }
-        assert_eq!(seen.len(), 16);
-        assert!(seen.iter().all(|s| *s < 16));
     }
 }

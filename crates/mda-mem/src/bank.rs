@@ -4,7 +4,7 @@
 //! column buffer (paper Fig. 2(b)/Fig. 3). A row-mode access hits when the
 //! physical array row it needs is the one latched in the row buffer;
 //! likewise for column-mode accesses and the column buffer. The two buffers
-//! are independent (they latch bit-sliced data, see [`crate::crosspoint`]),
+//! are independent (they latch bit-sliced data, paper Sec. III),
 //! but the bank's sense/drive circuitry is shared, so all operations
 //! serialize on the bank's `free_at` reservation.
 
@@ -102,13 +102,14 @@ impl Bank {
     }
 
     /// Number of tiles this bank has remapped so far.
-    pub fn remapped_tiles(&self) -> usize {
+    #[cfg(test)]
+    fn remapped_tiles(&self) -> usize {
         self.remapped.len()
     }
 
     /// The physical buffer entry needed to serve `line` in this bank, given
     /// the line's bank-local tile index.
-    pub fn buffer_entry(&self, tile_in_bank: u64, line: &LineKey) -> BufferEntry {
+    fn buffer_entry(&self, tile_in_bank: u64, line: &LineKey) -> BufferEntry {
         let tile_row = tile_in_bank / self.tiles_per_array_row;
         let tile_col = tile_in_bank % self.tiles_per_array_row;
         match line.orient {
@@ -129,15 +130,13 @@ impl Bank {
     }
 
     /// The most-recently-opened entry in `orient`, if any.
-    pub fn open_entry(&self, orient: Orientation) -> Option<BufferEntry> {
-        self.buffers(orient).last().copied()
-    }
-
-    fn buffers(&self, orient: Orientation) -> &Vec<BufferEntry> {
-        match orient {
+    #[cfg(test)]
+    fn open_entry(&self, orient: Orientation) -> Option<BufferEntry> {
+        let open = match orient {
             Orientation::Row => &self.open_rows,
             Orientation::Col => &self.open_cols,
-        }
+        };
+        open.last().copied()
     }
 
     fn buffers_mut(&mut self, orient: Orientation) -> &mut Vec<BufferEntry> {

@@ -30,11 +30,6 @@ impl Channel {
         (start, end)
     }
 
-    /// Cycle at which the bus next becomes free.
-    pub fn bus_free_at(&self) -> Cycle {
-        self.bus_free_at
-    }
-
     /// Number of writes currently queued.
     pub fn queued_writes(&self) -> usize {
         self.queued_writes

@@ -60,11 +60,6 @@ impl MainMemory {
         &self.stats
     }
 
-    /// Resets statistics without touching bank/buffer state.
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-    }
-
     /// Schedules a request arriving at `now` and returns its completion.
     pub fn access(&mut self, req: MemRequest, now: Cycle) -> MemCompletion {
         match req.kind {
@@ -359,17 +354,6 @@ mod tests {
             same_done = same_done.max(c.done);
         }
         assert!(spread_done < same_done);
-    }
-
-    #[test]
-    fn stats_reset_keeps_bank_state() {
-        let mut m = mem();
-        let line = LineKey::new(0, Orientation::Row, 0);
-        m.read(line, 0);
-        m.reset_stats();
-        assert_eq!(m.stats().reads, 0);
-        let c = m.read(line, 10_000);
-        assert!(c.buffer_hit, "row buffer must survive a stats reset");
     }
 
     #[test]

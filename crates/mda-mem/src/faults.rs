@@ -43,7 +43,7 @@ pub struct FaultRates {
 impl FaultRates {
     /// Combined per-bit error probability seen by a read (disturb and
     /// retention faults are independent).
-    pub fn read_ber(&self) -> f64 {
+    fn read_ber(&self) -> f64 {
         1.0 - (1.0 - self.read_disturb_ber) * (1.0 - self.retention_ber)
     }
 
@@ -113,14 +113,6 @@ impl FaultConfig {
     pub fn uniform(seed: u64, write_ber: f64, read_disturb_ber: f64, retention_ber: f64) -> Self {
         let rates = FaultRates { write_ber, read_disturb_ber, retention_ber };
         FaultConfig { seed, row: rates, col: rates, ..FaultConfig::none() }
-    }
-
-    /// The rates for one access orientation.
-    pub fn rates(&self, orient: Orientation) -> FaultRates {
-        match orient {
-            Orientation::Row => self.row,
-            Orientation::Col => self.col,
-        }
     }
 
     /// True when any rate of either orientation is nonzero.

@@ -33,7 +33,6 @@ pub mod bank;
 pub mod channel;
 pub mod config;
 pub mod controller;
-pub mod crosspoint;
 pub mod error;
 pub mod faults;
 pub mod request;

@@ -74,16 +74,6 @@ impl MemStats {
         }
     }
 
-    /// Post-ECC error rate: uncorrectable lines per line transferred.
-    pub fn post_ecc_error_rate(&self) -> f64 {
-        let lines = self.reads + self.writes;
-        if lines == 0 {
-            0.0
-        } else {
-            self.uncorrectable_lines as f64 / lines as f64
-        }
-    }
-
     /// True when any reliability event was recorded; gates the extra
     /// reliability line in rendered reports so fault-free output stays
     /// byte-identical.
@@ -135,7 +125,6 @@ mod tests {
     fn reliability_rates_handle_idle_memory() {
         let s = MemStats::default();
         assert_eq!(s.raw_word_fault_rate(), 0.0);
-        assert_eq!(s.post_ecc_error_rate(), 0.0);
         assert!(!s.reliability_active());
     }
 

@@ -6,10 +6,9 @@
 //! column-strided data. This module turns the statistics the simulator
 //! already collects into a first-order energy estimate so that claim can
 //! be quantified. Per-event energies are STT-crosspoint-class numbers
-//! (activations are the expensive event; NVM writes cost more than reads;
-//! SRAM accesses are cheap and size-dependent) — absolute joules are
-//! indicative only, but ratios between designs are meaningful because both
-//! designs' events are priced identically.
+//! (activations are the expensive event; NVM writes cost more than reads)
+//! — absolute joules are indicative only, but ratios between designs are
+//! meaningful because both designs' events are priced identically.
 
 use crate::report::SimReport;
 
@@ -24,9 +23,6 @@ pub struct EnergyModel {
     pub array_write_pj: f64,
     /// Moving one byte over a memory channel.
     pub bus_pj_per_byte: f64,
-    /// One cache access per kilobyte of cache capacity (crude CACTI-style
-    /// scaling: bigger arrays burn more per access).
-    pub cache_access_pj_per_kb: f64,
 }
 
 impl EnergyModel {
@@ -37,7 +33,6 @@ impl EnergyModel {
             buffer_access_pj: 80.0,
             array_write_pj: 1200.0,
             bus_pj_per_byte: 15.0,
-            cache_access_pj_per_kb: 0.02,
         }
     }
 
@@ -52,22 +47,6 @@ impl EnergyModel {
             // rewrites the failing words into the array.
             + m.write_retries as f64 * (self.buffer_access_pj + self.array_write_pj);
         pj / 1000.0
-    }
-
-    /// Total cache-array energy of a run, in nanojoules. Each level's
-    /// accesses (demand + fills) are priced by its capacity.
-    pub fn cache_energy_nj(&self, r: &SimReport, level_kb: &[u64]) -> f64 {
-        let mut pj = 0.0;
-        for (stats, kb) in r.levels.iter().zip(level_kb) {
-            let events = stats.accesses + stats.demand_fills + stats.prefetch_fills;
-            pj += events as f64 * self.cache_access_pj_per_kb * (*kb as f64);
-        }
-        pj / 1000.0
-    }
-
-    /// Combined memory + cache energy, in nanojoules.
-    pub fn total_energy_nj(&self, r: &SimReport, level_kb: &[u64]) -> f64 {
-        self.memory_energy_nj(r) + self.cache_energy_nj(r, level_kb)
     }
 }
 
@@ -94,14 +73,6 @@ mod tests {
         p
     }
 
-    fn level_kb(cfg: &SystemConfig) -> Vec<u64> {
-        let mut v = vec![cfg.l1.size_bytes / 1024, cfg.l2.size_bytes / 1024];
-        if let Some(l3) = cfg.l3 {
-            v.push(l3.size_bytes / 1024);
-        }
-        v
-    }
-
     #[test]
     fn mda_cuts_memory_energy_on_column_workloads() {
         let p = col_walk(64);
@@ -116,10 +87,6 @@ mod tests {
             e_mda < 0.7 * e_base,
             "MDA memory energy {e_mda:.0} nJ vs baseline {e_base:.0} nJ"
         );
-        // Total (memory + cache) energy also drops.
-        let t_base = model.total_energy_nj(&base, &level_kb(&base_cfg));
-        let t_mda = model.total_energy_nj(&mda, &level_kb(&mda_cfg));
-        assert!(t_mda < t_base);
     }
 
     fn write_walk(n: i64) -> Program {
@@ -148,18 +115,5 @@ mod tests {
             model.memory_energy_nj(&faulty) > model.memory_energy_nj(&clean),
             "retries must show up in the energy bill"
         );
-    }
-
-    #[test]
-    fn energy_components_are_additive_and_positive() {
-        let p = col_walk(32);
-        let cfg = SystemConfig::tiny(HierarchyKind::P2L2Sparse);
-        let r = simulate(&p, &cfg);
-        let model = EnergyModel::stt();
-        let mem = model.memory_energy_nj(&r);
-        let cache = model.cache_energy_nj(&r, &level_kb(&cfg));
-        assert!(mem > 0.0 && cache > 0.0);
-        let total = model.total_energy_nj(&r, &level_kb(&cfg));
-        assert!((total - (mem + cache)).abs() < 1e-9);
     }
 }

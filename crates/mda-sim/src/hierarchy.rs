@@ -118,7 +118,8 @@ impl Hierarchy {
     }
 
     /// Number of cores (paths).
-    pub fn num_cores(&self) -> usize {
+    #[cfg(test)]
+    fn num_cores(&self) -> usize {
         self.paths.len()
     }
 
@@ -130,7 +131,8 @@ impl Hierarchy {
     }
 
     /// The pool indices of `core`'s path, L1 first.
-    pub fn path_of(&self, core: usize) -> &[usize] {
+    #[cfg(test)]
+    fn path_of(&self, core: usize) -> &[usize] {
         &self.paths[core]
     }
 

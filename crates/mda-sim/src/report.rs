@@ -50,27 +50,11 @@ impl SimReport {
     /// `self.cycles / baseline.cycles` — the paper's normalized total
     /// cycles.
     pub fn normalized_cycles(&self, baseline: &SimReport) -> f64 {
-        ratio(self.cycles, baseline.cycles)
-    }
-
-    /// Normalized L1 hit rate against a baseline run.
-    pub fn normalized_l1_hit_rate(&self, baseline: &SimReport) -> f64 {
-        let b = baseline.l1_hit_rate();
-        if b == 0.0 {
+        if baseline.cycles == 0 {
             0.0
         } else {
-            self.l1_hit_rate() / b
+            self.cycles as f64 / baseline.cycles as f64
         }
-    }
-
-    /// Normalized LLC access count.
-    pub fn normalized_llc_accesses(&self, baseline: &SimReport) -> f64 {
-        ratio(self.llc_accesses(), baseline.llc_accesses())
-    }
-
-    /// Normalized LLC↔memory bytes.
-    pub fn normalized_memory_bytes(&self, baseline: &SimReport) -> f64 {
-        ratio(self.llc_memory_bytes(), baseline.llc_memory_bytes())
     }
 }
 
@@ -142,14 +126,6 @@ impl std::fmt::Display for SimReport {
     }
 }
 
-fn ratio(a: u64, b: u64) -> f64 {
-    if b == 0 {
-        0.0
-    } else {
-        a as f64 / b as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,7 +173,6 @@ mod tests {
         let base = report(1000, 100);
         let ours = report(300, 22);
         assert!((ours.normalized_cycles(&base) - 0.3).abs() < 1e-12);
-        assert!((ours.normalized_llc_accesses(&base) - 0.22).abs() < 1e-12);
     }
 
     #[test]
@@ -205,7 +180,5 @@ mod tests {
         let base = report(0, 0);
         let ours = report(10, 10);
         assert_eq!(ours.normalized_cycles(&base), 0.0);
-        assert_eq!(ours.normalized_l1_hit_rate(&base), 0.0);
-        assert_eq!(ours.normalized_memory_bytes(&base), 0.0);
     }
 }

@@ -110,19 +110,13 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Paper Table I with a 1 MB L3: 32 KB L1 / 256 KB L2 / `llc` L3.
+    /// Paper Table I: 32 KB L1 / 256 KB L2 / 1 MB L3.
     pub fn paper(kind: HierarchyKind) -> SystemConfig {
-        SystemConfig::paper_with_llc(kind, 1024 * 1024)
-    }
-
-    /// Paper Table I with an explicit L3 capacity (1/1.5/2/4 MB in
-    /// Fig. 12).
-    pub fn paper_with_llc(kind: HierarchyKind, llc_bytes: u64) -> SystemConfig {
         SystemConfig {
             kind,
             l1: CacheConfig::l1_32k(),
             l2: CacheConfig::l2_256k(),
-            l3: Some(CacheConfig::l3(llc_bytes)),
+            l3: Some(CacheConfig::l3(1024 * 1024)),
             mem: MemConfig::paper(),
             core: CoreConfig::paper(),
             codegen: kind.codegen(),
@@ -150,12 +144,6 @@ impl SystemConfig {
     /// hierarchy. Working-set-to-capacity ratios match the paper's
     /// non-resident configuration, so every figure regenerates in seconds.
     pub fn scaled(kind: HierarchyKind) -> SystemConfig {
-        SystemConfig::scaled_with_llc(kind, 256 * 1024)
-    }
-
-    /// The scaled system with an explicit LLC capacity (the Fig. 12 sweep
-    /// becomes 256 KB / 384 KB / 512 KB / 1 MB).
-    pub fn scaled_with_llc(kind: HierarchyKind, llc_bytes: u64) -> SystemConfig {
         let mut l1 = CacheConfig::l1_32k();
         l1.size_bytes = 16 * 1024;
         let mut l2 = CacheConfig::l2_256k();
@@ -163,7 +151,7 @@ impl SystemConfig {
         SystemConfig {
             l1,
             l2,
-            l3: Some(CacheConfig::l3(llc_bytes)),
+            l3: Some(CacheConfig::l3(256 * 1024)),
             default_input: 256,
             ..SystemConfig::paper(kind)
         }
@@ -347,9 +335,7 @@ mod tests {
     #[test]
     fn every_preset_validates() {
         for kind in HierarchyKind::all() {
-            for llc in [1024 * 1024, 1536 * 1024, 2 * 1024 * 1024, 4 * 1024 * 1024] {
-                assert_eq!(SystemConfig::paper_with_llc(kind, llc).validate(), Ok(()));
-            }
+            assert_eq!(SystemConfig::paper(kind).validate(), Ok(()));
             assert_eq!(SystemConfig::paper_cache_resident(kind).validate(), Ok(()));
             assert_eq!(SystemConfig::scaled(kind).validate(), Ok(()));
             assert_eq!(SystemConfig::tiny(kind).validate(), Ok(()));

@@ -3,7 +3,7 @@
 #
 # Usage: scripts/verify.sh
 #
-# Steps:
+# Steps, in run order:
 #   1. release build of the whole workspace
 #   2. full test suite (unit + integration + property tests)
 #   3. release unit and integration tests of every workspace crate:
@@ -11,23 +11,26 @@
 #      and mda-bench (the root `cargo test` runs only the facade crate's
 #      tests, not their address-packing, MSHR, cache-level, hierarchy,
 #      trace-cursor, HTAP, model-checker and harness tests)
-#   4. `figures all --scale tiny --jobs 2` smoke run, asserting the
+#   4. clippy (warnings + perf lints) across the whole workspace
+#   5. mda-lint: the workspace must be free of hot-path allocations,
+#      library panics, nondeterministic report iteration, stray clocks and
+#      `pub fn`s no other file uses (`dead-pub`)
+#   6. mda-check: exhaustive dim-3 model check of the duplicate-word policy
+#      plus the model-vs-real differential at dim 2 (the depth-3 default)
+#   7. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
-#   5. `--csv` must leave the text output byte-identical, and an unknown
+#   8. `--csv` must leave the text output byte-identical, and an unknown
 #      experiment name must exit 2 before anything runs or is written
-#   6. reliability smoke run: the seeded fault-injection sweep must be
+#   9. reliability smoke run: the seeded fault-injection sweep must be
 #      byte-identical across worker counts
-#   7. memo drill: experiments run in one process (later ones answered
+#  10. memo drill: experiments run in one process (later ones answered
 #      from the memo of simulated cells) print and write exactly what
 #      each run in its own process does
-#   8. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
+#  11. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#   9. clippy (warnings + perf lints) across the whole workspace
-#  10. mda-lint: the workspace must be free of hot-path allocations,
-#      library panics, nondeterministic report iteration, and stray clocks
-#  11. mda-check: exhaustive dim-3 model check of the duplicate-word policy
-#      plus the model-vs-real differential at dim 2 (the depth-3 default)
+#  12. a malformed MDA_JOBS must produce a warning instead of being
+#      silently ignored
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
