@@ -1,40 +1,21 @@
-//! Trace tooling CLI: dump a kernel's compiled trace to the binary format,
-//! and analyze traces (op mix, Fig. 10-style volume split, reuse-distance
-//! miss curves at both line granularities).
+//! Trace locality CLI: generates a kernel's trace for the conventional and
+//! the MDA target and prints, for each, the op mix, the Fig. 10-style volume
+//! split and reuse-distance miss curves at both line granularities.
 //!
 //! ```text
-//! trace-stats dump <kernel> <n> <baseline|mda> <out.trace>
-//! trace-stats analyze <in.trace>
-//! trace-stats compare <kernel> <n>      # baseline vs MDA locality, inline
+//! trace-stats compare <kernel> <n>
 //! ```
 
 use mda_bench::chart;
 use mda_bench::table::TextTable;
 use mda_compiler::reuse::{ReuseGranularity, ReuseProfile};
 use mda_compiler::trace::{access_mix, count_ops, TraceSource};
-use mda_compiler::tracefile::{write_trace, RecordedTrace};
 use mda_compiler::CodegenOptions;
 use mda_workloads::Kernel;
-use std::fs::File;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: trace-stats dump <kernel> <n> <baseline|mda> <out.trace>\n       \
-         trace-stats analyze <in.trace>\n       \
-         trace-stats compare <kernel> <n>"
-    );
+    eprintln!("usage: trace-stats compare <kernel> <n>");
     std::process::exit(2);
-}
-
-fn parse_target(s: &str) -> CodegenOptions {
-    match s {
-        "baseline" => CodegenOptions::baseline(),
-        "mda" => CodegenOptions::mda(),
-        other => {
-            eprintln!("unknown target '{other}' (baseline|mda)");
-            usage()
-        }
-    }
 }
 
 fn analyze(src: &dyn TraceSource, opts: &CodegenOptions) {
@@ -87,54 +68,18 @@ fn analyze(src: &dyn TraceSource, opts: &CodegenOptions) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("dump") => {
-            let [_, kernel, n, target, out] = &args[..] else { usage() };
-            let kernel = Kernel::parse(kernel).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            });
-            let n: u64 = n.parse().unwrap_or_else(|_| usage());
-            let opts = parse_target(target);
-            let src = kernel.build(n);
-            let file = File::create(out).unwrap_or_else(|e| {
-                eprintln!("cannot create {out}: {e}");
-                std::process::exit(1);
-            });
-            match write_trace(src.as_ref(), &opts, file) {
-                Ok(records) => println!("wrote {records} records to {out}"),
-                Err(e) => {
-                    eprintln!("write failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some("analyze") => {
-            let [_, input] = &args[..] else { usage() };
-            let file = File::open(input).unwrap_or_else(|e| {
-                eprintln!("cannot open {input}: {e}");
-                std::process::exit(1);
-            });
-            let trace = RecordedTrace::read(input.as_str(), file).unwrap_or_else(|e| {
-                eprintln!("bad trace file: {e}");
-                std::process::exit(1);
-            });
-            // Recorded traces replay verbatim; the options are inert.
-            analyze(&trace, &CodegenOptions::mda());
-        }
-        Some("compare") => {
-            let [_, kernel, n] = &args[..] else { usage() };
-            let kernel = Kernel::parse(kernel).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                usage()
-            });
-            let n: u64 = n.parse().unwrap_or_else(|_| usage());
-            let src = kernel.build(n);
-            println!("== conventional target ==");
-            analyze(src.as_ref(), &CodegenOptions::baseline());
-            println!("\n== MDA target ==");
-            analyze(src.as_ref(), &CodegenOptions::mda());
-        }
-        _ => usage(),
+    let [cmd, kernel, n] = &args[..] else { usage() };
+    if cmd != "compare" {
+        usage();
     }
+    let kernel = Kernel::parse(kernel).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    let n: u64 = n.parse().unwrap_or_else(|_| usage());
+    let src = kernel.build(n);
+    println!("== conventional target ==");
+    analyze(src.as_ref(), &CodegenOptions::baseline());
+    println!("\n== MDA target ==");
+    analyze(src.as_ref(), &CodegenOptions::mda());
 }

@@ -355,7 +355,8 @@ impl CellKey {
 /// Each distinct cell is simulated once per process:
 /// 1. every label first goes through the `MDA_PANIC_CELL` drill, so a
 ///    drilled cell fails whether or not its report is known;
-/// 2. the remaining cells are reduced to their distinct [`CellKey`]s;
+/// 2. the remaining cells are reduced to their distinct keys: kernel,
+///    input size and system, with an all-zero fault model canonicalized;
 /// 3. keys already in the process-wide memo take the memoized report;
 /// 4. only the other keys are simulated, on the worker pool;
 /// 5. their `Ok` reports join the memo (a degraded cell is never

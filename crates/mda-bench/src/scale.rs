@@ -71,32 +71,28 @@ impl Scale {
         cfg
     }
 
-    /// The Fig. 12 LLC sweep: the paper's 1 / 1.5 / 2 / 4 MB, divided by
-    /// the scale factor.
-    pub fn llc_sweep(&self) -> [u64; 4] {
-        let mb = 1024 * 1024;
-        let div = match self {
+    /// How many times smaller than the paper's the LLC capacities are.
+    fn llc_divisor(&self) -> u64 {
+        match self {
             Scale::Tiny => 64,
             Scale::Scaled => 4,
             Scale::Paper => 1,
-        };
+        }
+    }
+
+    /// The Fig. 12 LLC sweep: the paper's 1 / 1.5 / 2 / 4 MB, divided by
+    /// the scale factor.
+    pub fn llc_sweep(&self) -> [u64; 4] {
+        let (mb, div) = (1024 * 1024, self.llc_divisor());
         [mb / div, 3 * mb / 2 / div, 2 * mb / div, 4 * mb / div]
     }
 
-    /// The Fig. 13 cache-resident system: two levels, LLC sized to hold the
-    /// small input's working set (2 MB in the paper).
+    /// The Fig. 13 cache-resident system: two levels, the L2 as the LLC
+    /// sized to hold the small input's working set (2 MB in the paper).
     pub fn cache_resident_system(&self, kind: HierarchyKind) -> SystemConfig {
-        let mut cfg = match self {
-            Scale::Paper => SystemConfig::paper_cache_resident(kind),
-            _ => {
-                let mut c = self.system(kind);
-                let div = if *self == Scale::Tiny { 64 } else { 4 };
-                c.l2.size_bytes = 2 * 1024 * 1024 / div;
-                c.l3 = None;
-                c
-            }
-        };
-        cfg.default_input = self.small_input();
+        let mut cfg =
+            SystemConfig { l3: None, default_input: self.small_input(), ..self.system(kind) };
+        cfg.l2.size_bytes = 2 * 1024 * 1024 / self.llc_divisor();
         cfg
     }
 }
@@ -155,10 +151,17 @@ mod tests {
     #[test]
     fn cache_resident_is_two_level_and_roomy() {
         for s in [Scale::Tiny, Scale::Scaled, Scale::Paper] {
-            let cfg = s.cache_resident_system(HierarchyKind::P1L2DifferentSet);
-            assert_eq!(cfg.num_levels(), 2);
-            let ws = s.small_input() * s.small_input() * 8;
-            assert!(cfg.l2.size_bytes >= ws, "{s}: LLC holds one matrix");
+            for kind in HierarchyKind::all() {
+                let cfg = s.cache_resident_system(kind);
+                assert_eq!(cfg.validate(), Ok(()), "{s} {kind:?}");
+                assert_eq!(cfg.num_levels(), 2);
+                assert_eq!(cfg.build_hierarchy().levels().len(), 2);
+                assert_eq!(cfg.default_input, s.small_input());
+                let ws = s.small_input() * s.small_input() * 8;
+                assert!(cfg.l2.size_bytes >= ws, "{s}: LLC holds one matrix");
+            }
         }
+        let paper = Scale::Paper.cache_resident_system(HierarchyKind::P2L2Sparse);
+        assert_eq!((paper.l2.size_bytes, paper.default_input), (2 * 1024 * 1024, 256));
     }
 }

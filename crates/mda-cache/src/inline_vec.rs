@@ -45,7 +45,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The elements as a slice.
-    pub fn as_slice(&self) -> &[T] {
+    fn as_slice(&self) -> &[T] {
         &self.buf[..self.len]
     }
 }

@@ -14,9 +14,10 @@
 //!   whose references move along columns can be vectorized too, because the
 //!   MDA hierarchy serves dense column lines. The trace generator lowers a
 //!   [`ir::Program`] to the annotated memory-operation stream the simulated
-//!   ISA would execute. A reference with no decidable static direction
-//!   (both subscripts move) takes the column default; the paper's
-//!   profiling fallback is not modelled.
+//!   ISA would execute; the simulator pulls that stream batch by batch
+//!   through a [`TraceCursor`], and no trace is ever stored. A reference
+//!   with no decidable static direction (both subscripts move) takes the
+//!   column default; the paper's profiling fallback is not modelled.
 //!
 //! ```
 //! use mda_compiler::ir::{Program, ArrayRef, Loop, LoopNest};
@@ -43,7 +44,6 @@ pub mod layout;
 pub mod reuse;
 pub mod tiling;
 pub mod trace;
-pub mod tracefile;
 pub mod vectorize;
 
 pub use analysis::{Direction, RefAnalysis};
@@ -53,5 +53,4 @@ pub use layout::{ArrayLayout, Layout, LayoutKind};
 pub use reuse::{ReuseGranularity, ReuseProfile};
 pub use tiling::{tile, tile_program, TileError};
 pub use trace::{MemOp, TraceCursor, TraceOp, TraceSource};
-pub use tracefile::{write_trace, RecordedTrace};
 pub use vectorize::CodegenOptions;

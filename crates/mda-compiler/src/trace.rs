@@ -82,9 +82,6 @@ pub trait TraceSource {
             batch.iter().for_each(|op| sink(*op));
         }
     }
-
-    /// Padded data footprint under the target layout, in bytes.
-    fn footprint_bytes(&self, opts: &CodegenOptions) -> u64;
 }
 
 impl TraceSource for Program {
@@ -93,17 +90,13 @@ impl TraceSource for Program {
     }
 
     fn cursor(&self, opts: &CodegenOptions) -> Box<dyn TraceCursor + '_> {
-        let mut pending = self.nests().iter();
-        let Some(nest) = pending.next() else {
-            // No nests: an empty trace.
-            return Box::new(<[TraceOp]>::chunks(&[], 1));
-        };
-        let (plan, layout) = (plan_nest(nest, opts), Layout::plan(self, opts.layout));
-        Box::new(Walker { pending, nest, plan, layout, opts: *opts, idx: Vec::new() })
-    }
-
-    fn footprint_bytes(&self, opts: &CodegenOptions) -> u64 {
-        Layout::plan(self, opts.layout).total_bytes()
+        Box::new(Walker {
+            pending: self.nests().iter(),
+            current: None,
+            layout: Layout::plan(self, opts.layout),
+            opts: *opts,
+            idx: Vec::new(),
+        })
     }
 }
 
@@ -131,8 +124,8 @@ fn effective_direction(r: &ArrayRef, depth: usize) -> Direction {
 struct Walker<'a> {
     /// Nests not yet entered.
     pending: std::slice::Iter<'a, LoopNest>,
-    nest: &'a LoopNest,
-    plan: NestPlan,
+    /// The nest being walked and its plan; `None` before the first nest.
+    current: Option<(&'a LoopNest, NestPlan)>,
     layout: Layout,
     opts: CodegenOptions,
     /// The loop variables; empty until the nest's first batch.
@@ -143,11 +136,16 @@ impl TraceCursor for Walker<'_> {
     fn next_batch(&mut self, out: &mut Vec<TraceOp>) -> bool {
         out.clear();
         while out.is_empty() {
-            if self.advance() {
-                self.emit_innermost(out);
-            } else {
-                let Some(nest) = self.pending.next() else { return false };
-                (self.nest, self.plan, self.idx) = (nest, plan_nest(nest, &self.opts), Vec::new());
+            match self.current.take() {
+                Some((nest, plan)) if self.advance(nest) => {
+                    self.emit_innermost(nest, &plan, out);
+                    self.current = Some((nest, plan));
+                }
+                _ => {
+                    let Some(nest) = self.pending.next() else { return false };
+                    self.current = Some((nest, plan_nest(nest, &self.opts)));
+                    self.idx.clear();
+                }
             }
         }
         true
@@ -157,8 +155,7 @@ impl TraceCursor for Walker<'_> {
 impl Walker<'_> {
     /// Moves `idx` to the nest's next innermost-loop execution; returns
     /// `false` once every outer loop is done.
-    fn advance(&mut self) -> bool {
-        let nest = self.nest;
+    fn advance(&mut self, nest: &LoopNest) -> bool {
         let inner = nest.innermost();
         // Each pass either enters loop `k` at its lower bound or steps the
         // loop enclosing `k` (once `k`'s loop is empty or done).
@@ -198,10 +195,16 @@ impl Walker<'_> {
         }));
     }
 
-    fn emit_invariants(&self, kind: RefKind, out: &mut Vec<TraceOp>) {
-        for (r, a) in self.nest.refs.iter().zip(&self.plan.refs) {
+    fn emit_invariants(
+        &self,
+        nest: &LoopNest,
+        plan: &NestPlan,
+        kind: RefKind,
+        out: &mut Vec<TraceOp>,
+    ) {
+        for (r, a) in nest.refs.iter().zip(&plan.refs) {
             if a.direction == Direction::Invariant && r.kind == kind {
-                self.emit_scalar(r, effective_direction(r, self.nest.depth()), out);
+                self.emit_scalar(r, effective_direction(r, nest.depth()), out);
             }
         }
     }
@@ -210,7 +213,8 @@ impl Walker<'_> {
     /// `[v, v+8)`: one when the chunk is line-aligned, two when an
     /// unaligned SIMD access straddles a line boundary.
     fn vector_lines(&mut self, r: &ArrayRef, dir: Direction, v: i64) -> (LineKey, Option<LineKey>) {
-        let innermost = self.nest.innermost();
+        // `idx` holds one variable per loop; the last is the innermost.
+        let innermost = self.idx.len() - 1;
         self.idx[innermost] = v;
         let w0 = self.addr_of(r);
         self.idx[innermost] = v + LINE_WORDS as i64 - 1;
@@ -227,10 +231,10 @@ impl Walker<'_> {
     /// Scalar iterations to peel so the first non-invariant reference's
     /// chunk covers exactly one line — for ascending *or* descending unit
     /// strides (0 when already aligned or undecidable).
-    fn peel_for_alignment(&mut self, lo: i64, hi: i64) -> i64 {
-        let lead = self.plan.refs.iter().position(|a| a.direction != Direction::Invariant);
+    fn peel_for_alignment(&mut self, nest: &LoopNest, plan: &NestPlan, lo: i64, hi: i64) -> i64 {
+        let lead = plan.refs.iter().position(|a| a.direction != Direction::Invariant);
         let Some(ri) = lead else { return 0 };
-        let (r, dir) = (&self.nest.refs[ri], self.plan.refs[ri].direction);
+        let (r, dir) = (&nest.refs[ri], plan.refs[ri].direction);
         for peel in 0..LINE_WORDS as i64 {
             if lo + peel + LINE_WORDS as i64 > hi {
                 break;
@@ -244,8 +248,7 @@ impl Walker<'_> {
     }
 
     /// Emits one execution of the innermost loop at the current `idx`.
-    fn emit_innermost(&mut self, out: &mut Vec<TraceOp>) {
-        let nest = self.nest;
+    fn emit_innermost(&mut self, nest: &LoopNest, plan: &NestPlan, out: &mut Vec<TraceOp>) {
         let innermost = nest.innermost();
         let lo = nest.loops[innermost].lo.eval(&self.idx);
         let hi = nest.loops[innermost].hi.eval(&self.idx);
@@ -255,16 +258,15 @@ impl Walker<'_> {
         let flops = nest.flops_per_iter;
         let overhead = self.opts.loop_overhead;
 
-        self.emit_invariants(RefKind::Read, out);
+        self.emit_invariants(nest, plan, RefKind::Read, out);
 
-        let peel = if self.plan.vectorized { self.peel_for_alignment(lo, hi) } else { 0 };
+        let peel = if plan.vectorized { self.peel_for_alignment(nest, plan, lo, hi) } else { 0 };
         let mut v = lo;
         while v < hi {
-            let vectorize =
-                self.plan.vectorized && v >= lo + peel && v + LINE_WORDS as i64 <= hi;
+            let vectorize = plan.vectorized && v >= lo + peel && v + LINE_WORDS as i64 <= hi;
             if vectorize {
                 for (ri, r) in nest.refs.iter().enumerate() {
-                    let a = self.plan.refs[ri];
+                    let a = plan.refs[ri];
                     if a.direction == Direction::Invariant {
                         continue;
                     }
@@ -290,7 +292,7 @@ impl Walker<'_> {
                 }
             } else {
                 self.idx[innermost] = v;
-                for (r, a) in nest.refs.iter().zip(&self.plan.refs) {
+                for (r, a) in nest.refs.iter().zip(&plan.refs) {
                     if a.direction != Direction::Invariant {
                         self.emit_scalar(r, a.direction, out);
                     }
@@ -302,7 +304,7 @@ impl Walker<'_> {
             v += if vectorize { LINE_WORDS as i64 } else { 1 };
         }
 
-        self.emit_invariants(RefKind::Write, out);
+        self.emit_invariants(nest, plan, RefKind::Write, out);
     }
 }
 
@@ -563,9 +565,19 @@ mod tests {
     #[test]
     fn footprint_reflects_layout_padding() {
         let p = row_walk(10);
-        assert!(
-            p.footprint_bytes(&CodegenOptions::mda())
-                >= p.footprint_bytes(&CodegenOptions::baseline())
-        );
+        let bytes = |opts: CodegenOptions| Layout::plan(&p, opts.layout).total_bytes();
+        assert!(bytes(CodegenOptions::mda()) >= bytes(CodegenOptions::baseline()));
+    }
+
+    #[test]
+    fn program_without_nests_yields_an_empty_trace() {
+        let mut p = Program::new("empty");
+        p.array("A", 8, 8);
+        for opts in [CodegenOptions::baseline(), CodegenOptions::mda()] {
+            let mut batch = vec![TraceOp::Compute(1)];
+            assert!(!p.cursor(&opts).next_batch(&mut batch));
+            assert!(batch.is_empty(), "an exhausted cursor leaves the batch empty");
+            assert_eq!(count_ops(&p, &opts), OpCounts::default());
+        }
     }
 }

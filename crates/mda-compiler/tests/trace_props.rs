@@ -3,7 +3,7 @@
 
 use mda_compiler::expr::AffineExpr;
 use mda_compiler::ir::{ArrayRef, Loop, LoopNest, Program};
-use mda_compiler::layout::LayoutKind;
+use mda_compiler::layout::{Layout, LayoutKind};
 use mda_compiler::trace::{TraceOp, TraceSource};
 use mda_compiler::vectorize::CodegenOptions;
 use mda_mem::{LineKey, Orientation, WordAddr};
@@ -137,7 +137,7 @@ proptest! {
     fn addresses_stay_in_bounds(spec in walk_strategy()) {
         let p = build(&spec);
         for opts in [CodegenOptions::baseline(), CodegenOptions::mda()] {
-            let bound = p.footprint_bytes(&opts);
+            let bound = Layout::plan(&p, opts.layout).total_bytes();
             p.generate(&opts, &mut |op| {
                 if let TraceOp::Mem(m) = op {
                     let top = if m.vector {

@@ -81,12 +81,6 @@ pub const MAX_TILE: TileId = u64::MAX / TILE_BYTES;
 pub struct WordAddr(pub u64);
 
 impl WordAddr {
-    /// Builds a word address from a byte address, discarding byte-offset bits.
-    #[inline]
-    pub fn from_byte_addr(addr: u64) -> WordAddr {
-        WordAddr(addr & !(WORD_BYTES - 1))
-    }
-
     /// Builds the address of the word at tile-local coordinates `(r, c)`.
     ///
     /// # Panics

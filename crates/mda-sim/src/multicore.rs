@@ -122,7 +122,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "shared LLC")]
     fn two_level_configs_are_rejected() {
-        let cfg = SystemConfig::paper_cache_resident(crate::HierarchyKind::Baseline1P1L);
+        let kind = crate::HierarchyKind::Baseline1P1L;
+        let cfg = SystemConfig { l3: None, ..SystemConfig::tiny(kind) };
         let a = walk("a", 16, false);
         let _ = simulate_multicore(&[&a], &cfg);
     }

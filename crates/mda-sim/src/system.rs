@@ -127,19 +127,6 @@ impl SystemConfig {
         }
     }
 
-    /// The paper's cache-resident study (Fig. 13): two levels, 2 MB L2 as
-    /// the LLC, 256×256 inputs.
-    pub fn paper_cache_resident(kind: HierarchyKind) -> SystemConfig {
-        let mut l2 = CacheConfig::l2_256k();
-        l2.size_bytes = 2 * 1024 * 1024;
-        SystemConfig {
-            l2,
-            l3: None,
-            default_input: 256,
-            ..SystemConfig::paper(kind)
-        }
-    }
-
     /// A 4×-scaled system: 256×256 inputs against a 16 KB / 64 KB / 256 KB
     /// hierarchy. Working-set-to-capacity ratios match the paper's
     /// non-resident configuration, so every figure regenerates in seconds.
@@ -290,7 +277,7 @@ mod tests {
         for kind in HierarchyKind::all() {
             for cfg in [
                 SystemConfig::paper(kind),
-                SystemConfig::paper_cache_resident(kind),
+                SystemConfig { l3: None, ..SystemConfig::tiny(kind) },
                 SystemConfig::scaled(kind),
                 SystemConfig::tiny(kind),
             ] {
@@ -306,16 +293,6 @@ mod tests {
         assert!(!cfg.codegen.vectorize_cols);
         let cfg = SystemConfig::paper(HierarchyKind::P1L2DifferentSet);
         assert!(cfg.codegen.vectorize_cols);
-    }
-
-    #[test]
-    fn cache_resident_preset_is_two_level() {
-        let cfg = SystemConfig::paper_cache_resident(HierarchyKind::P2L2Sparse);
-        assert_eq!(cfg.num_levels(), 2);
-        assert_eq!(cfg.l2.size_bytes, 2 * 1024 * 1024);
-        assert_eq!(cfg.default_input, 256);
-        let h = cfg.build_hierarchy();
-        assert_eq!(h.levels().len(), 2);
     }
 
     #[test]
@@ -336,9 +313,9 @@ mod tests {
     fn every_preset_validates() {
         for kind in HierarchyKind::all() {
             assert_eq!(SystemConfig::paper(kind).validate(), Ok(()));
-            assert_eq!(SystemConfig::paper_cache_resident(kind).validate(), Ok(()));
             assert_eq!(SystemConfig::scaled(kind).validate(), Ok(()));
             assert_eq!(SystemConfig::tiny(kind).validate(), Ok(()));
+            assert_eq!(SystemConfig { l3: None, ..SystemConfig::tiny(kind) }.validate(), Ok(()));
         }
     }
 

@@ -1,6 +1,6 @@
 //! `htap1` / `htap2`: hybrid transactional/analytical processing workloads,
 //! modelled after the in-memory-table workloads of the GS-DRAM paper that
-//! MDACache evaluates (Sec. VI-B, [40]).
+//! MDACache evaluates (Sec. VI-B, reference 40).
 //!
 //! A `2048 × n` table of 64-bit fields is shared by two request classes:
 //!
@@ -140,11 +140,6 @@ impl TraceSource for HtapWorkload {
             txns_done: 0,
         })
     }
-
-    fn footprint_bytes(&self, opts: &CodegenOptions) -> u64 {
-        let (program, _) = self.table_program();
-        Layout::plan(&program, opts.layout).total_bytes()
-    }
 }
 
 /// The cursor over an HTAP trace: one batch per scan or transaction.
@@ -232,8 +227,9 @@ mod tests {
 
     #[test]
     fn footprint_covers_the_table() {
-        let w = htap1(256);
-        assert!(w.footprint_bytes(&CodegenOptions::mda()) >= HTAP_RECORDS * 256 * 8);
+        let (program, _) = htap1(256).table_program();
+        let bytes = Layout::plan(&program, CodegenOptions::mda().layout).total_bytes();
+        assert!(bytes >= HTAP_RECORDS * 256 * 8);
     }
 
     #[test]

@@ -4,14 +4,11 @@
 # Usage: scripts/verify.sh
 #
 # Steps, in run order:
-#   1. release build of the whole workspace
-#   2. full test suite (unit + integration + property tests)
-#   3. release unit and integration tests of every workspace crate:
-#      mda-mem, mda-cache, mda-sim, mda-compiler, mda-workloads, mda-check
-#      and mda-bench (the root `cargo test` runs only the facade crate's
-#      tests, not their address-packing, MSHR, cache-level, hierarchy,
-#      trace-cursor, HTAP, model-checker and harness tests)
-#   4. clippy (warnings + perf lints) across the whole workspace
+#   1. release build of the facade and every crate under crates/
+#   2. the test suite of the facade and every crate under crates/ (unit,
+#      integration, property and doc tests; the default workspace members)
+#   3. clippy (warnings + perf lints) across the whole workspace
+#   4. rustdoc across the whole workspace, with warnings as errors
 #   5. mda-lint: the workspace must be free of hot-path allocations,
 #      library panics, nondeterministic report iteration, stray clocks and
 #      `pub fn`s no other file uses (`dead-pub`)
@@ -40,12 +37,11 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
-echo "== tests: every workspace crate's tests (release) =="
-cargo test -q --release -p mda-mem -p mda-cache -p mda-sim -p mda-compiler -p mda-workloads \
-    -p mda-check -p mda-bench
-
 echo "== lint: clippy (warnings + perf) on the whole workspace =="
 cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::perf
+
+echo "== lint: rustdoc warnings are errors =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== lint: mda-lint project rules =="
 cargo run -q --release -p mda-check --bin mda-lint

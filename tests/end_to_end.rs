@@ -1,6 +1,7 @@
 //! End-to-end integration: every kernel × every design point runs through
 //! compiler → trace → hierarchy → memory with self-consistent results.
 
+use mda_bench::Scale;
 use mdacache::sim::{simulate, HierarchyKind, SystemConfig};
 use mdacache::workloads::Kernel;
 
@@ -60,7 +61,7 @@ fn cycle_counts_are_stable_across_runs() {
 #[test]
 fn two_level_systems_work() {
     for kind in HierarchyKind::all() {
-        let cfg = SystemConfig::paper_cache_resident(kind);
+        let cfg = Scale::Paper.cache_resident_system(kind);
         let src = Kernel::Sobel.build(64);
         let r = simulate(src.as_ref(), &cfg);
         assert_eq!(r.levels.len(), 2, "{kind}");
