@@ -6,29 +6,23 @@
 //! counts with an STT-class [`EnergyModel`] and reports each design's
 //! memory-system energy normalized to the prefetching baseline.
 
-use crate::experiments::{metric_series, norm_series, run_grid, FigureTable};
+use crate::experiments::{against_baseline, normalized, FigureTable};
 use crate::fig11::PLOTTED;
 use crate::scale::Scale;
-use mda_sim::{EnergyModel, HierarchyKind};
-use mda_workloads::Kernel;
+use mda_sim::EnergyModel;
 
 /// Runs the energy comparison (memory-system energy, normalized).
 pub fn run(scale: Scale) -> FigureTable {
     let n = scale.input();
-    let model = EnergyModel::stt();
-    let kernels: Vec<String> = Kernel::all().iter().map(|k| k.name().to_string()).collect();
-    let mut fig = FigureTable::new(
-        format!("Extension — memory-system energy normalized to 1P1L+prefetch ({n}×{n})"),
-        kernels,
+    let [fig] = normalized(
+        "ext_energy",
+        n,
+        &against_baseline(&PLOTTED, |kind| scale.system(kind)),
+        [(
+            format!("Extension — memory-system energy normalized to 1P1L+prefetch ({n}×{n})"),
+            |r| EnergyModel::stt().memory_energy_nj(r),
+        )],
     );
-    let mut configs = vec![("base".to_string(), scale.system(HierarchyKind::Baseline1P1L))];
-    configs.extend(PLOTTED.iter().map(|kind| (kind.name().to_string(), scale.system(*kind))));
-    let reports = run_grid("ext_energy", n, &configs);
-    let baselines = metric_series(&reports[0], |r| model.memory_energy_nj(r));
-    for (kind, chunk) in PLOTTED.iter().zip(&reports[1..]) {
-        let values = norm_series(&metric_series(chunk, |r| model.memory_energy_nj(r)), &baselines);
-        fig.push_series(kind.name(), values);
-    }
     fig
 }
 

@@ -9,11 +9,11 @@ use mda_sim::{HierarchyKind, SystemConfig};
 pub fn render(scale: Scale) -> String {
     let cfg = scale.system(HierarchyKind::Baseline1P1L);
     let mut t = TextTable::new(vec!["parameter".into(), "value".into()]);
-    push_config_rows(&mut t, &cfg);
+    push_config_rows(&mut t, &cfg, scale);
     format!("Table I — experimental setup ({} scale)\n{}", scale.name(), t.render())
 }
 
-fn push_config_rows(t: &mut TextTable, cfg: &SystemConfig) {
+fn push_config_rows(t: &mut TextTable, cfg: &SystemConfig, scale: Scale) {
     let kb = |b: u64| format!("{} KB", b / 1024);
     t.push_row(vec![
         "CPU".into(),
@@ -83,8 +83,8 @@ fn push_config_rows(t: &mut TextTable, cfg: &SystemConfig) {
         "Inputs".into(),
         format!(
             "{n}×{n} matrices (htap: 2048×{n}); cache-resident study {m}×{m}",
-            n = cfg.default_input,
-            m = cfg.default_input / 2
+            n = scale.input(),
+            m = scale.small_input()
         ),
     ]);
 }

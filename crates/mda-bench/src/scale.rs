@@ -90,8 +90,7 @@ impl Scale {
     /// The Fig. 13 cache-resident system: two levels, the L2 as the LLC
     /// sized to hold the small input's working set (2 MB in the paper).
     pub fn cache_resident_system(&self, kind: HierarchyKind) -> SystemConfig {
-        let mut cfg =
-            SystemConfig { l3: None, default_input: self.small_input(), ..self.system(kind) };
+        let mut cfg = SystemConfig { l3: None, ..self.system(kind) };
         cfg.l2.size_bytes = 2 * 1024 * 1024 / self.llc_divisor();
         cfg
     }
@@ -156,12 +155,11 @@ mod tests {
                 assert_eq!(cfg.validate(), Ok(()), "{s} {kind:?}");
                 assert_eq!(cfg.num_levels(), 2);
                 assert_eq!(cfg.build_hierarchy().levels().len(), 2);
-                assert_eq!(cfg.default_input, s.small_input());
                 let ws = s.small_input() * s.small_input() * 8;
                 assert!(cfg.l2.size_bytes >= ws, "{s}: LLC holds one matrix");
             }
         }
         let paper = Scale::Paper.cache_resident_system(HierarchyKind::P2L2Sparse);
-        assert_eq!((paper.l2.size_bytes, paper.default_input), (2 * 1024 * 1024, 256));
+        assert_eq!(paper.l2.size_bytes, 2 * 1024 * 1024);
     }
 }

@@ -19,16 +19,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -104,8 +94,7 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = TextTable::new(vec!["a".into(), "b".into(), "c".into()]);
         t.push_row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows, [["1", "", ""]]);
         assert!(t.render().lines().count() == 3);
     }
 

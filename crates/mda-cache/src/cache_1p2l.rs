@@ -114,11 +114,6 @@ impl Cache1P2L {
         }
     }
 
-    /// The index mapping in use.
-    pub fn mapping(&self) -> SetMapping {
-        self.mapping
-    }
-
     fn set_of(&self, line: &LineKey) -> usize {
         match self.mapping {
             SetMapping::DifferentSet => self.array.set_index(line.tile * 8 + u64::from(line.idx)),

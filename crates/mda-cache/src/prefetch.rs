@@ -54,12 +54,6 @@ impl PrefetchTargets {
     fn none() -> PrefetchTargets {
         PrefetchTargets { line: 0, stride: 0, k: 1, degree: 0 }
     }
-
-    /// Whether the observation produced no prefetch candidates.
-    pub fn is_empty(&self) -> bool {
-        let mut probe = *self;
-        probe.next().is_none()
-    }
 }
 
 impl Iterator for PrefetchTargets {
@@ -142,8 +136,8 @@ mod tests {
     #[test]
     fn unit_stride_stream_trains_and_prefetches() {
         let mut p = StridePrefetcher::new(2);
-        assert!(p.observe(1, 0).is_empty());
-        assert!(p.observe(1, LINE_BYTES).is_empty(), "first repeat: confidence 1");
+        assert!(p.observe(1, 0).next().is_none());
+        assert!(p.observe(1, LINE_BYTES).next().is_none(), "first repeat: confidence 1");
         let pf: Vec<u64> = p.observe(1, 2 * LINE_BYTES).collect();
         assert_eq!(pf, vec![3 * LINE_BYTES, 4 * LINE_BYTES]);
     }
@@ -165,9 +159,9 @@ mod tests {
         p.observe(1, 0);
         p.observe(1, LINE_BYTES);
         p.observe(1, 2 * LINE_BYTES); // confident now
-        assert!(p.observe(1, 10 * LINE_BYTES).is_empty(), "stride broke");
-        assert!(p.observe(1, 11 * LINE_BYTES).is_empty(), "rebuilding confidence");
-        assert!(!p.observe(1, 12 * LINE_BYTES).is_empty());
+        assert!(p.observe(1, 10 * LINE_BYTES).next().is_none(), "stride broke");
+        assert!(p.observe(1, 11 * LINE_BYTES).next().is_none(), "rebuilding confidence");
+        assert!(p.observe(1, 12 * LINE_BYTES).next().is_some());
     }
 
     #[test]
@@ -177,14 +171,14 @@ mod tests {
             p.observe(1, i * LINE_BYTES);
         }
         // Stream 2 is untrained even though stream 1 is confident.
-        assert!(p.observe(2, 0).is_empty());
+        assert!(p.observe(2, 0).next().is_none());
     }
 
     #[test]
     fn repeated_same_line_accesses_emit_nothing() {
         let mut p = StridePrefetcher::new(4);
         for _ in 0..10 {
-            assert!(p.observe(3, 64).is_empty());
+            assert!(p.observe(3, 64).next().is_none());
         }
     }
 
@@ -207,11 +201,11 @@ mod tests {
             p.observe(1, i * LINE_BYTES);
         }
         // ...then stream 1 + 512 (same slot) takes over cold.
-        assert!(p.observe(1 + TABLE_SLOTS as u32, 0).is_empty());
+        assert!(p.observe(1 + TABLE_SLOTS as u32, 0).next().is_none());
         // Stream 1 must now retrain from scratch like any cold stream.
-        assert!(p.observe(1, 3 * LINE_BYTES).is_empty());
-        assert!(p.observe(1, 4 * LINE_BYTES).is_empty());
-        assert!(!p.observe(1, 5 * LINE_BYTES).is_empty());
+        assert!(p.observe(1, 3 * LINE_BYTES).next().is_none());
+        assert!(p.observe(1, 4 * LINE_BYTES).next().is_none());
+        assert!(p.observe(1, 5 * LINE_BYTES).next().is_some());
     }
 
     #[test]
@@ -221,6 +215,6 @@ mod tests {
             p.observe(1, i * LINE_BYTES);
         }
         p.reset();
-        assert!(p.observe(1, 3 * LINE_BYTES).is_empty(), "cold after reset");
+        assert!(p.observe(1, 3 * LINE_BYTES).next().is_none(), "cold after reset");
     }
 }

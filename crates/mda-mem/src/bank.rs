@@ -55,15 +55,6 @@ pub struct Bank {
 }
 
 impl Bank {
-    /// Creates an idle bank whose array is `tiles_per_array_row` tiles wide,
-    /// with one buffer per orientation.
-    ///
-    /// # Panics
-    /// Panics if `tiles_per_array_row` is zero.
-    pub fn new(tiles_per_array_row: u64) -> Bank {
-        Bank::with_sub_buffers(tiles_per_array_row, 1)
-    }
-
     /// Creates an idle bank with `sub_buffers` open entries per orientation.
     ///
     /// # Panics
@@ -227,7 +218,7 @@ mod tests {
 
     #[test]
     fn first_access_opens_buffer() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         let line = LineKey::new(0, Orientation::Row, 3);
         let (o, ready) = b.serve_read(0, &line, 100, &t());
         assert_eq!(o, BufferOutcome::Empty);
@@ -237,7 +228,7 @@ mod tests {
 
     #[test]
     fn repeat_access_hits_buffer() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         let line = LineKey::new(0, Orientation::Row, 3);
         let (_, r1) = b.serve_read(0, &line, 0, &t());
         let (o, r2) = b.serve_read(0, &line, r1, &t());
@@ -247,7 +238,7 @@ mod tests {
 
     #[test]
     fn different_row_conflicts() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         b.serve_read(0, &LineKey::new(0, Orientation::Row, 3), 0, &t());
         let (o, _) = b.serve_read(0, &LineKey::new(0, Orientation::Row, 4), 1000, &t());
         assert_eq!(o, BufferOutcome::Conflict);
@@ -255,7 +246,7 @@ mod tests {
 
     #[test]
     fn row_and_col_buffers_are_independent() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         b.serve_read(0, &LineKey::new(0, Orientation::Row, 3), 0, &t());
         let (o, _) = b.serve_read(0, &LineKey::new(0, Orientation::Col, 5), 1000, &t());
         // First column access: the column buffer was empty, and opening it
@@ -267,7 +258,7 @@ mod tests {
 
     #[test]
     fn adjacent_tiles_share_a_physical_row() {
-        let b = Bank::new(128);
+        let b = Bank::with_sub_buffers(128, 1);
         // Tiles 0 and 1 sit side by side in the array: row line r of both
         // maps to the same physical row.
         let l0 = LineKey::new(0, Orientation::Row, 2);
@@ -281,7 +272,7 @@ mod tests {
 
     #[test]
     fn vertically_adjacent_tiles_share_a_physical_column() {
-        let b = Bank::new(4);
+        let b = Bank::with_sub_buffers(4, 1);
         // With 4 tiles per array row, bank-local tiles 0 and 4 are stacked
         // vertically: column line c of both maps to the same physical column.
         let c0 = LineKey::new(0, Orientation::Col, 1);
@@ -291,7 +282,7 @@ mod tests {
 
     #[test]
     fn write_occupies_bank_for_write_service_time() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         let line = LineKey::new(0, Orientation::Row, 0);
         b.serve_read(0, &line, 0, &t());
         let free = b.free_at();
@@ -336,7 +327,7 @@ mod tests {
 
     #[test]
     fn remap_honors_spare_capacity() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         assert!(!b.is_remapped(7));
         assert!(b.remap(7, 2));
         assert!(b.is_remapped(7));
@@ -349,7 +340,7 @@ mod tests {
 
     #[test]
     fn busy_bank_delays_later_request() {
-        let mut b = Bank::new(128);
+        let mut b = Bank::with_sub_buffers(128, 1);
         let line = LineKey::new(0, Orientation::Row, 0);
         let (_, r1) = b.serve_read(0, &line, 0, &t());
         // Request arriving "in the past" still starts only once free.

@@ -31,7 +31,7 @@ impl SimReport {
     }
 
     /// Statistics of the last-level cache.
-    pub fn llc(&self) -> &CacheStats {
+    fn llc(&self) -> &CacheStats {
         // mda-lint: allow(lib-unwrap): structural invariant; a hierarchy always has at least one level
         self.levels.last().expect("at least one level")
     }

@@ -9,24 +9,25 @@
 #      integration, property and doc tests; the default workspace members)
 #   3. clippy (warnings + perf lints) across the whole workspace
 #   4. rustdoc across the whole workspace, with warnings as errors
-#   5. mda-lint: the workspace must be free of hot-path allocations,
+#   5. rustfmt: the workspace must already be formatted (rustfmt.toml)
+#   6. mda-lint: the workspace must be free of hot-path allocations,
 #      library panics, nondeterministic report iteration, stray clocks and
 #      `pub fn`s no other file uses (`dead-pub`)
-#   6. mda-check: exhaustive dim-3 model check of the duplicate-word policy
+#   7. mda-check: exhaustive dim-3 model check of the duplicate-word policy
 #      plus the model-vs-real differential at dim 2 (the depth-3 default)
-#   7. `figures all --scale tiny --jobs 2` smoke run, asserting the
+#   8. `figures all --scale tiny --jobs 2` smoke run, asserting the
 #      parallel harness produces output byte-identical to `--jobs 1`
-#   8. `--csv` must leave the text output byte-identical, and an unknown
+#   9. `--csv` must leave the text output byte-identical, and an unknown
 #      experiment name must exit 2 before anything runs or is written
-#   9. reliability smoke run: the seeded fault-injection sweep must be
+#  10. reliability smoke run: the seeded fault-injection sweep must be
 #      byte-identical across worker counts
-#  10. memo drill: experiments run in one process (later ones answered
+#  11. memo drill: experiments run in one process (later ones answered
 #      from the memo of simulated cells) print and write exactly what
 #      each run in its own process does
-#  11. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
+#  12. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#  12. a malformed MDA_JOBS must produce a warning instead of being
+#  13. a malformed MDA_JOBS must produce a warning instead of being
 #      silently ignored
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,6 +43,9 @@ cargo clippy -q --workspace --all-targets -- -D warnings -D clippy::perf
 
 echo "== lint: rustdoc warnings are errors =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
+echo "== lint: rustfmt (rustfmt.toml) =="
+cargo fmt --all --check
 
 echo "== lint: mda-lint project rules =="
 cargo run -q --release -p mda-check --bin mda-lint

@@ -10,7 +10,7 @@ fn every_kernel_runs_on_every_design() {
     for kernel in Kernel::all() {
         for kind in HierarchyKind::all() {
             let cfg = SystemConfig::tiny(kind);
-            let src = kernel.build(cfg.default_input);
+            let src = kernel.build(Scale::Tiny.input());
             let r = simulate(src.as_ref(), &cfg);
             assert!(r.cycles > 0, "{kernel}/{kind} produced no cycles");
             assert_eq!(r.levels.len(), 3, "{kernel}/{kind} level count");
@@ -35,7 +35,7 @@ fn every_kernel_runs_on_every_design() {
 fn baseline_uses_row_mode_only_and_mda_uses_both() {
     let kernel = Kernel::Sgemm;
     let base_cfg = SystemConfig::tiny(HierarchyKind::Baseline1P1L);
-    let src = kernel.build(base_cfg.default_input);
+    let src = kernel.build(Scale::Tiny.input());
     let base = simulate(src.as_ref(), &base_cfg);
     assert_eq!(base.mem.col_reads, 0, "a 1-D hierarchy never issues column transfers");
 
@@ -50,7 +50,7 @@ fn cycle_counts_are_stable_across_runs() {
     // Full-stack determinism: two fresh simulations of the same workload
     // and configuration agree bit-for-bit.
     let cfg = SystemConfig::tiny(HierarchyKind::P2L2Sparse);
-    let src = Kernel::Htap1.build(cfg.default_input);
+    let src = Kernel::Htap1.build(Scale::Tiny.input());
     let a = simulate(src.as_ref(), &cfg);
     let b = simulate(src.as_ref(), &cfg);
     assert_eq!(a.cycles, b.cycles);
