@@ -52,10 +52,7 @@ fn analyze(src: &dyn TraceSource, opts: &CodegenOptions) {
             profile.footprint_lines(),
             profile.mean_distance().unwrap_or(0.0)
         );
-        println!(
-            "    miss curve 1→8K lines: {}",
-            chart::sparkline(&misses)
-        );
+        println!("    miss curve 1→8K lines: {}", chart::sparkline(&misses));
         let mut t = TextTable::new(vec!["capacity (lines)".into(), "miss rate".into()]);
         for (c, m) in curve.iter().step_by(3) {
             t.push_row(vec![format!("{c}"), format!("{:.3}", m)]);

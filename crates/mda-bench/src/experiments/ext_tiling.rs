@@ -48,8 +48,9 @@ pub fn run(scale: Scale) -> FigureTable {
         ("2P2L", &plain, scale.system(HierarchyKind::P2L2Sparse)),
         ("2P2L+tiling", &blocked, scale.system(HierarchyKind::P2L2Sparse)),
     ];
-    let cycles =
-        crate::parallel::par_map(&variants, |(_, program, cfg)| simulate(*program as &dyn TraceSource, cfg).cycles);
+    let cycles = crate::parallel::par_map(&variants, |(_, program, cfg)| {
+        simulate(*program as &dyn TraceSource, cfg).cycles
+    });
     let base = cycles[0];
     let mut fig = FigureTable::new(
         format!("Extension — collaborative tiling on sgemm, normalized cycles ({n}×{n})"),
@@ -75,7 +76,12 @@ mod tests {
         // accumulator (one read+write per k-block instead of per (i, j)),
         // so the access volume grows slightly — but only slightly.
         assert!(blocked.bytes >= plain.bytes);
-        assert!(blocked.bytes <= plain.bytes + plain.bytes / 5, "{} vs {}", blocked.bytes, plain.bytes);
+        assert!(
+            blocked.bytes <= plain.bytes + plain.bytes / 5,
+            "{} vs {}",
+            blocked.bytes,
+            plain.bytes
+        );
     }
 
     #[test]
@@ -83,10 +89,7 @@ mod tests {
         let fig = run(Scale::Tiny);
         let hw = fig.value("2P2L", "sgemm").expect("series");
         let collab = fig.value("2P2L+tiling", "sgemm").expect("series");
-        assert!(
-            collab < hw,
-            "collaborative ({collab:.3}) should beat hardware-only ({hw:.3})"
-        );
+        assert!(collab < hw, "collaborative ({collab:.3}) should beat hardware-only ({hw:.3})");
     }
 
     #[test]

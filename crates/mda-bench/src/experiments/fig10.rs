@@ -53,26 +53,14 @@ pub fn render(scale: Scale) -> String {
         let mut totals = AccessMix::default();
         for r in rows.iter().filter(|r| r.n == n) {
             let (rs, rv, cs, cv) = r.mix.fractions();
-            t.push_row(vec![
-                r.kernel.clone(),
-                fmt_pct(rs),
-                fmt_pct(rv),
-                fmt_pct(cs),
-                fmt_pct(cv),
-            ]);
+            t.push_row(vec![r.kernel.clone(), fmt_pct(rs), fmt_pct(rv), fmt_pct(cs), fmt_pct(cv)]);
             totals.row_scalar += r.mix.row_scalar;
             totals.row_vector += r.mix.row_vector;
             totals.col_scalar += r.mix.col_scalar;
             totals.col_vector += r.mix.col_vector;
         }
         let (rs, rv, cs, cv) = totals.fractions();
-        t.push_row(vec![
-            "Average".into(),
-            fmt_pct(rs),
-            fmt_pct(rv),
-            fmt_pct(cs),
-            fmt_pct(cv),
-        ]);
+        t.push_row(vec!["Average".into(), fmt_pct(rs), fmt_pct(rv), fmt_pct(cs), fmt_pct(cv)]);
         out.push_str(&format!("\n{n} × {n}\n{}", t.render()));
     }
     out
@@ -90,8 +78,7 @@ mod tests {
         for r in &rows {
             assert!(r.mix.col_fraction() > 0.0, "{} has no column volume", r.kernel);
         }
-        let avg: f64 =
-            rows.iter().map(|r| r.mix.col_fraction()).sum::<f64>() / rows.len() as f64;
+        let avg: f64 = rows.iter().map(|r| r.mix.col_fraction()).sum::<f64>() / rows.len() as f64;
         assert!((0.25..=0.75).contains(&avg), "average column fraction {avg}");
     }
 

@@ -35,11 +35,7 @@ pub fn run(scale: Scale) -> Vec<KernelTimeline> {
             .system(HierarchyKind::P1L2DifferentSet)
             .with_occupancy_sampling(sample_interval(scale));
         let r = run_kernel(*k, n, &cfg);
-        KernelTimeline {
-            kernel: k.name().into(),
-            levels: cfg.num_levels(),
-            timeline: r.occupancy,
-        }
+        KernelTimeline { kernel: k.name().into(), levels: cfg.num_levels(), timeline: r.occupancy }
     })
 }
 
@@ -63,8 +59,7 @@ fn render_with_points(scale: Scale, points: usize) -> String {
             "L2 col%".into(),
             "L3 col%".into(),
         ]);
-        let mut shown: Vec<&mda_sim::OccupancySample> =
-            samples.iter().step_by(stride).collect();
+        let mut shown: Vec<&mda_sim::OccupancySample> = samples.iter().step_by(stride).collect();
         // Always include the final sample: the trailing row-oriented phase
         // (where ssyrk's column occupancy falls off) is short relative to
         // the run and would otherwise be dropped by the downsampling.

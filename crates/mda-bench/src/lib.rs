@@ -24,8 +24,8 @@ pub mod scale;
 pub mod table;
 
 pub use experiments::{
-    ablation, designs, ext_energy, ext_multicore, ext_reliability, ext_tiling, fig10, fig11, fig12, fig13, fig14,
-    fig15, fig16, fig17, table1, FigureTable,
+    ablation, designs, ext_energy, ext_multicore, ext_reliability, ext_tiling, fig10, fig11, fig12,
+    fig13, fig14, fig15, fig16, fig17, table1, FigureTable,
 };
 pub use parallel::{CellFailure, CellResult};
 pub use scale::Scale;

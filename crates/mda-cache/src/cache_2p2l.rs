@@ -162,7 +162,12 @@ impl Cache2P2L {
     /// line when sparse or rows-only; the demand line followed by the rest
     /// of its orientation when dense (at most eight lines, so the probe's
     /// inline buffer always suffices).
-    fn fill_lines(&self, line: LineKey, meta: Option<&TileMeta>, fills: &mut InlineVec<LineKey, PROBE_MAX>) {
+    fn fill_lines(
+        &self,
+        line: LineKey,
+        meta: Option<&TileMeta>,
+        fills: &mut InlineVec<LineKey, PROBE_MAX>,
+    ) {
         fills.push(line);
         if self.mode != Mode::Dense {
             return;
@@ -184,11 +189,17 @@ impl Cache2P2L {
         let mut n = 0;
         for idx in 0..TILE_LINES as u8 {
             if meta.row_dirty & (1 << idx) != 0 {
-                out.push(Writeback { line: LineKey::new(tile, Orientation::Row, idx), dirty: 0xFF });
+                out.push(Writeback {
+                    line: LineKey::new(tile, Orientation::Row, idx),
+                    dirty: 0xFF,
+                });
                 n += 1;
             }
             if meta.col_dirty & (1 << idx) != 0 {
-                out.push(Writeback { line: LineKey::new(tile, Orientation::Col, idx), dirty: 0xFF });
+                out.push(Writeback {
+                    line: LineKey::new(tile, Orientation::Col, idx),
+                    dirty: 0xFF,
+                });
                 n += 1;
             }
         }
@@ -202,10 +213,13 @@ impl Cache2P2L {
             let (r, c) = (w.row_in_tile(), w.col_in_tile());
             // Prefer dirtying along the access orientation when that line is
             // resident; otherwise dirty the covering line.
-            let via = if meta.valid(acc.orient, match acc.orient {
-                Orientation::Row => r,
-                Orientation::Col => c,
-            }) {
+            let via = if meta.valid(
+                acc.orient,
+                match acc.orient {
+                    Orientation::Row => r,
+                    Orientation::Col => c,
+                },
+            ) {
                 acc.orient
             } else if meta.row_valid & (1 << r) != 0 {
                 Orientation::Row

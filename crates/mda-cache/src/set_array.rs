@@ -267,7 +267,12 @@ mod tests {
     use mda_mem::{Orientation, WordAddr};
 
     /// Fills a key the caller knows is absent, returning the eviction.
-    fn insert<M: Default>(a: &mut SetArray<u64, M>, set: usize, key: u64, meta: M) -> Option<(u64, M)> {
+    fn insert<M: Default>(
+        a: &mut SetArray<u64, M>,
+        set: usize,
+        key: u64,
+        meta: M,
+    ) -> Option<(u64, M)> {
         match a.fill(set, key, meta) {
             Filled::Inserted(evicted) => evicted,
             Filled::Hit(_) => panic!("{key} was already resident"),

@@ -99,10 +99,7 @@ mod tests {
         let w = WordAddr::from_tile_coords(0, 0, 0);
         s.note_access(&Access::scalar_read(w, Orientation::Row, 0), true);
         s.note_access(&Access::scalar_read(w, Orientation::Col, 0), false);
-        s.note_access(
-            &Access::vector_read(mda_mem::LineKey::new(0, Orientation::Col, 0), 0),
-            true,
-        );
+        s.note_access(&Access::vector_read(mda_mem::LineKey::new(0, Orientation::Col, 0), 0), true);
         assert_eq!(s.accesses, 3);
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 1);

@@ -3,9 +3,7 @@
 //! architectural contract even where their mechanisms differ.
 
 use mda_cache::level::CacheLevelExt;
-use mda_cache::{
-    Access, Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, CacheLevel, SetMapping,
-};
+use mda_cache::{Access, Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, CacheLevel, SetMapping};
 use mda_mem::{LineKey, Orientation, WordAddr};
 
 fn cfg(bytes: u64) -> CacheConfig {
@@ -34,9 +32,7 @@ fn demand(cache: &mut dyn CacheLevel, acc: &Access) {
         let dirty = if acc.is_write {
             match acc.width {
                 mda_cache::AccessWidth::Vector => 0xFF,
-                mda_cache::AccessWidth::Scalar => {
-                    1 << probe.fills[0].offset_of(acc.word).unwrap()
-                }
+                mda_cache::AccessWidth::Scalar => 1 << probe.fills[0].offset_of(acc.word).unwrap(),
             }
         } else {
             0
@@ -64,11 +60,7 @@ fn written_word_is_dirty_exactly_once_everywhere() {
         demand(cache.as_mut(), &Access::scalar_write(w, Orientation::Col, 0));
         let dirty = cache.dirty_words();
         assert!(dirty.contains(&w), "{name}: written word not dirty");
-        assert_eq!(
-            dirty.iter().filter(|x| **x == w).count(),
-            1,
-            "{name}: duplicate dirty copies"
-        );
+        assert_eq!(dirty.iter().filter(|x| **x == w).count(), 1, "{name}: duplicate dirty copies");
     }
 }
 
@@ -115,10 +107,7 @@ fn stats_classify_accesses_identically() {
             continue; // cannot serve column vectors
         }
         demand(cache.as_mut(), &Access::scalar_read(WordAddr(0), Orientation::Row, 0));
-        demand(
-            cache.as_mut(),
-            &Access::vector_read(LineKey::new(0, Orientation::Col, 0), 0),
-        );
+        demand(cache.as_mut(), &Access::vector_read(LineKey::new(0, Orientation::Col, 0), 0));
         let s = cache.stats();
         assert_eq!(s.row_scalar, 1, "{name}");
         assert_eq!(s.col_vector, 1, "{name}");

@@ -31,10 +31,16 @@ fn step_strategy(tiles: u64) -> impl Strategy<Value = Step> {
             .prop_map(|(tile, r, c, orient)| Step::ScalarRead { tile, r, c, orient }),
         (0..tiles, 0u8..8, 0u8..8, orient_strategy())
             .prop_map(|(tile, r, c, orient)| Step::ScalarWrite { tile, r, c, orient }),
-        (0..tiles, 0u8..8, orient_strategy())
-            .prop_map(|(tile, idx, orient)| Step::VectorRead { tile, idx, orient }),
-        (0..tiles, 0u8..8, orient_strategy())
-            .prop_map(|(tile, idx, orient)| Step::VectorWrite { tile, idx, orient }),
+        (0..tiles, 0u8..8, orient_strategy()).prop_map(|(tile, idx, orient)| Step::VectorRead {
+            tile,
+            idx,
+            orient
+        }),
+        (0..tiles, 0u8..8, orient_strategy()).prop_map(|(tile, idx, orient)| Step::VectorWrite {
+            tile,
+            idx,
+            orient
+        }),
     ]
 }
 

@@ -18,8 +18,8 @@ use crate::model2p2l::Model2P2L;
 use crate::ops::{apply_1p2l, apply_2p2l, ModelStep, Op};
 use crate::sequences::{diff_alphabet, for_each_sequence};
 use mda_cache::{
-    Access, CacheConfig, CacheLevel, CacheStats, InlineVec, Probe, SetMapping, Writeback,
-    Cache1P2L, Cache2P2L,
+    Access, Cache1P2L, Cache2P2L, CacheConfig, CacheLevel, CacheStats, InlineVec, Probe,
+    SetMapping, Writeback,
 };
 use mda_mem::{LineKey, Orientation, TILE_LINES};
 
@@ -325,25 +325,18 @@ fn run_target(
 ) -> Option<DiffMismatch> {
     let alphabet = diff_alphabet(cfg.sub);
     let mut found = None;
-    for_each_sequence(
-        &alphabet,
-        cfg.depth,
-        cfg.random,
-        cfg.random_len,
-        cfg.seed,
-        |seq| {
-            *sequences += 1;
-            let mut real = make_real();
-            let mut model = make_model();
-            match replay(name, real.as_mut(), &mut model, seq, steps) {
-                Ok(()) => true,
-                Err(m) => {
-                    found = Some(m);
-                    false
-                }
+    for_each_sequence(&alphabet, cfg.depth, cfg.random, cfg.random_len, cfg.seed, |seq| {
+        *sequences += 1;
+        let mut real = make_real();
+        let mut model = make_model();
+        match replay(name, real.as_mut(), &mut model, seq, steps) {
+            Ok(()) => true,
+            Err(m) => {
+                found = Some(m);
+                false
             }
-        },
-    );
+        }
+    });
     found
 }
 
@@ -463,28 +456,19 @@ pub fn run_differential_with_dropped_word(offset: u8, cfg: &DiffConfig) -> DiffR
     let mut steps = 0usize;
     let alphabet = diff_alphabet(cfg.sub);
     let mut mismatch = None;
-    for_each_sequence(
-        &alphabet,
-        cfg.depth,
-        cfg.random,
-        cfg.random_len,
-        cfg.seed,
-        |seq| {
-            sequences += 1;
-            let mut real = WritebackDropper::new(
-                Cache1P2L::new(l1_cfg(), SetMapping::DifferentSet),
-                offset,
-            );
-            let mut model = ModelSide::M1(Model1P2L::new(8, Mutation::None));
-            match replay("1P2L/dropped-word", &mut real, &mut model, seq, &mut steps) {
-                Ok(()) => true,
-                Err(m) => {
-                    mismatch = Some(m);
-                    false
-                }
+    for_each_sequence(&alphabet, cfg.depth, cfg.random, cfg.random_len, cfg.seed, |seq| {
+        sequences += 1;
+        let mut real =
+            WritebackDropper::new(Cache1P2L::new(l1_cfg(), SetMapping::DifferentSet), offset);
+        let mut model = ModelSide::M1(Model1P2L::new(8, Mutation::None));
+        match replay("1P2L/dropped-word", &mut real, &mut model, seq, &mut steps) {
+            Ok(()) => true,
+            Err(m) => {
+                mismatch = Some(m);
+                false
             }
-        },
-    );
+        }
+    });
     DiffReport { sequences, steps, mismatch }
 }
 

@@ -162,7 +162,12 @@ pub fn explore_1p2l(dim: u8, mutation: Mutation, cfg: &ExploreConfig) -> Explore
 
 /// Exhaustively explores the 2P2L model (sparse or dense fill) over a
 /// `dim × dim` tile.
-pub fn explore_2p2l(dim: u8, sparse: bool, mutation: Mutation, cfg: &ExploreConfig) -> ExploreReport {
+pub fn explore_2p2l(
+    dim: u8,
+    sparse: bool,
+    mutation: Mutation,
+    cfg: &ExploreConfig,
+) -> ExploreReport {
     let alphabet = alphabet_2p2l(dim);
     bfs(
         Model2P2L::new(dim, sparse, mutation),
@@ -197,8 +202,7 @@ mod tests {
 
     #[test]
     fn mutated_1p2l_yields_counterexample_with_trace() {
-        let report =
-            explore_1p2l(2, Mutation::SkipDuplicateEviction, &ExploreConfig::default());
+        let report = explore_1p2l(2, Mutation::SkipDuplicateEviction, &ExploreConfig::default());
         let cex = report.counterexample.expect("seeded bug must be found");
         assert!(matches!(cex.violation, Violation::StaleCopy { .. }));
         assert!(!cex.trace.is_empty(), "counterexample must have a trace");
@@ -206,11 +210,8 @@ mod tests {
 
     #[test]
     fn mutated_writeback_yields_flush_divergence() {
-        let report = explore_1p2l(
-            2,
-            Mutation::DropWritebackWord { offset: 0 },
-            &ExploreConfig::default(),
-        );
+        let report =
+            explore_1p2l(2, Mutation::DropWritebackWord { offset: 0 }, &ExploreConfig::default());
         let cex = report.counterexample.expect("seeded bug must be found");
         assert!(matches!(cex.violation, Violation::FlushDiverged { .. }));
 

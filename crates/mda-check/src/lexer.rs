@@ -266,10 +266,8 @@ fn mark_test_regions(lines: &[String]) -> Vec<bool> {
             }
             end += 1;
         }
-        let count_nl = |upto: usize| bytes[..upto.min(bytes.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
+        let count_nl =
+            |upto: usize| bytes[..upto.min(bytes.len())].iter().filter(|&&b| b == b'\n').count();
         let start_line = count_nl(attr_start);
         let end_line = count_nl(end);
         for flag in in_test.iter_mut().take(end_line + 1).skip(start_line) {
@@ -302,8 +300,7 @@ fn find_cfg_test(text: &str) -> Option<usize> {
                     let before_ok = s == 0
                         || !attr[..s].ends_with(|ch: char| ch.is_alphanumeric() || ch == '_');
                     let after = &attr[s + 4..];
-                    let after_ok =
-                        !after.starts_with(|ch: char| ch.is_alphanumeric() || ch == '_');
+                    let after_ok = !after.starts_with(|ch: char| ch.is_alphanumeric() || ch == '_');
                     if before_ok && after_ok {
                         break true;
                     }

@@ -58,7 +58,11 @@ impl Model2P2L {
     }
 
     fn full_mask_for(dim: u8) -> u8 {
-        if dim as usize >= 8 { 0xFF } else { (1u8 << dim) - 1 }
+        if dim as usize >= 8 {
+            0xFF
+        } else {
+            (1u8 << dim) - 1
+        }
     }
 
     /// The tile dimension.

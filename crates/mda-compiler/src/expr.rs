@@ -72,10 +72,7 @@ impl AffineExpr {
 
     /// The coefficient of variable `v` (zero if absent).
     pub fn coeff_of(&self, v: VarId) -> i64 {
-        self.terms
-            .binary_search_by_key(&v, |t| t.0)
-            .map(|i| self.terms[i].1)
-            .unwrap_or(0)
+        self.terms.binary_search_by_key(&v, |t| t.0).map(|i| self.terms[i].1).unwrap_or(0)
     }
 
     /// The constant term.

@@ -220,7 +220,8 @@ mod tests {
             refs: vec![ArrayRef::read(a, AffineExpr::var(0), AffineExpr::constant(0))],
             flops_per_iter: 0,
         });
-        let streams: Vec<u32> = p.nests().iter().flat_map(|n| n.refs.iter().map(|r| r.stream)).collect();
+        let streams: Vec<u32> =
+            p.nests().iter().flat_map(|n| n.refs.iter().map(|r| r.stream)).collect();
         assert_eq!(streams, vec![0, 1, 2]);
         assert_eq!(p.array_decl(b).name, "B");
     }
@@ -229,7 +230,10 @@ mod tests {
     fn triangular_bounds_validate() {
         // for i in 0..8 { for j in i..8 { ... } }
         let nest = LoopNest {
-            loops: vec![Loop::constant(0, 8), Loop::new(AffineExpr::var(0), AffineExpr::constant(8))],
+            loops: vec![
+                Loop::constant(0, 8),
+                Loop::new(AffineExpr::var(0), AffineExpr::constant(8)),
+            ],
             refs: vec![],
             flops_per_iter: 0,
         };
@@ -240,7 +244,10 @@ mod tests {
     #[test]
     fn inner_variable_in_bounds_is_rejected() {
         let nest = LoopNest {
-            loops: vec![Loop::new(AffineExpr::var(1), AffineExpr::constant(8)), Loop::constant(0, 8)],
+            loops: vec![
+                Loop::new(AffineExpr::var(1), AffineExpr::constant(8)),
+                Loop::constant(0, 8),
+            ],
             refs: vec![],
             flops_per_iter: 0,
         };
@@ -260,7 +267,11 @@ mod tests {
         let mut p = Program::new("t");
         p.add_nest(LoopNest {
             loops: vec![Loop::constant(0, 1)],
-            refs: vec![ArrayRef::read(ArrayId(3), AffineExpr::constant(0), AffineExpr::constant(0))],
+            refs: vec![ArrayRef::read(
+                ArrayId(3),
+                AffineExpr::constant(0),
+                AffineExpr::constant(0),
+            )],
             flops_per_iter: 0,
         });
     }

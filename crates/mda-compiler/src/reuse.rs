@@ -139,12 +139,7 @@ impl ReuseProfile {
         if self.accesses == 0 {
             return 0.0;
         }
-        let hits: u64 = self
-            .histogram
-            .iter()
-            .filter(|(d, _)| **d < lines)
-            .map(|(_, n)| *n)
-            .sum();
+        let hits: u64 = self.histogram.iter().filter(|(d, _)| **d < lines).map(|(_, n)| *n).sum();
         hits as f64 / self.accesses as f64
     }
 
@@ -245,8 +240,7 @@ mod tests {
             refs: vec![ArrayRef::read(a, AffineExpr::var(1), AffineExpr::var(0))],
             flops_per_iter: 0,
         });
-        let conventional =
-            ReuseProfile::collect(&p, &scalar_opts(), ReuseGranularity::RowLines);
+        let conventional = ReuseProfile::collect(&p, &scalar_opts(), ReuseGranularity::RowLines);
         let mda =
             ReuseProfile::collect(&p, &CodegenOptions::mda(), ReuseGranularity::OrientedLines);
         assert_eq!(mda.accesses(), conventional.accesses() / 8);

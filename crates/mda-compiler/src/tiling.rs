@@ -199,9 +199,7 @@ mod tests {
                 if let TraceOp::Mem(m) = op {
                     if m.vector {
                         s.extend(
-                            mda_mem::LineKey::containing(m.word, m.orient)
-                                .words()
-                                .map(|w| w.0),
+                            mda_mem::LineKey::containing(m.word, m.orient).words().map(|w| w.0),
                         );
                     } else {
                         s.insert(m.word.0);

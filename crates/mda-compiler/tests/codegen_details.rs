@@ -94,10 +94,7 @@ fn multiple_nests_execute_in_program_order() {
         })
         .collect();
     let first_of_1 = streams.iter().position(|s| *s == 1).expect("nest 2 ran");
-    assert!(
-        streams[..first_of_1].iter().all(|s| *s == 0),
-        "all of nest 1 must precede nest 2"
-    );
+    assert!(streams[..first_of_1].iter().all(|s| *s == 0), "all of nest 1 must precede nest 2");
 }
 
 #[test]
@@ -108,22 +105,12 @@ fn negative_stride_walk_emits_descending_vectors() {
     let a = p.array("A", 32, 32);
     p.add_nest(LoopNest {
         loops: vec![Loop::constant(0, 32), Loop::constant(0, 32)],
-        refs: vec![ArrayRef::read(
-            a,
-            AffineExpr::var(0),
-            AffineExpr::scaled_var(1, -1).plus(31),
-        )],
+        refs: vec![ArrayRef::read(a, AffineExpr::var(0), AffineExpr::scaled_var(1, -1).plus(31))],
         flops_per_iter: 0,
     });
     let trace = ops(&p, &CodegenOptions::mda());
-    let vectors = trace
-        .iter()
-        .filter(|o| matches!(o, TraceOp::Mem(m) if m.vector))
-        .count();
-    let scalars = trace
-        .iter()
-        .filter(|o| matches!(o, TraceOp::Mem(m) if !m.vector))
-        .count();
+    let vectors = trace.iter().filter(|o| matches!(o, TraceOp::Mem(m) if m.vector)).count();
+    let scalars = trace.iter().filter(|o| matches!(o, TraceOp::Mem(m) if !m.vector)).count();
     // Descending unit stride peels to line alignment and then vectorizes
     // every chunk exactly once: 32 × 32 / 8 single-line vector ops.
     assert_eq!(vectors, 32 * 32 / 8);

@@ -56,10 +56,7 @@ fn build(spec: &NestSpec) -> Program {
         })
         .collect();
     p.add_nest(LoopNest {
-        loops: vec![
-            Loop::constant(0, 8 * spec.blocks_i),
-            Loop::constant(0, 8 * spec.blocks_j),
-        ],
+        loops: vec![Loop::constant(0, 8 * spec.blocks_i), Loop::constant(0, 8 * spec.blocks_j)],
         refs,
         flops_per_iter: 1,
     });

@@ -149,10 +149,7 @@ mod tests {
     fn non_power_of_two_geometry_is_rejected() {
         let mut c = MemConfig::paper();
         c.channels = 3;
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::NotPowerOfTwo { field: "channels", value: 3 })
-        );
+        assert_eq!(c.validate(), Err(ConfigError::NotPowerOfTwo { field: "channels", value: 3 }));
         let mut c = MemConfig::paper();
         c.tiles_per_array_row = 100;
         assert!(c.validate().is_err());

@@ -102,14 +102,14 @@ impl MainMemory {
 
         // Write-queue-flush: if this channel's queue is over the high
         // watermark, drain down to the low watermark before serving the read.
-        let over = self.channels[d.channel]
-            .queued_writes()
-            .saturating_sub(self.config.write_queue_low);
+        let over =
+            self.channels[d.channel].queued_writes().saturating_sub(self.config.write_queue_low);
         if self.channels[d.channel].queued_writes() >= self.config.write_queue_high {
             let drained = self.channels[d.channel].drain_writes(over);
             // Drained writes are spread over this channel's banks; charge the
             // average per-bank share to the target bank and the bus.
-            let per_bank = (drained as u64).div_ceil((self.config.ranks * self.config.banks) as u64);
+            let per_bank =
+                (drained as u64).div_ceil((self.config.ranks * self.config.banks) as u64);
             let drain_cycles = per_bank * (t.t_write + t.burst);
             let free = self.banks[bank_idx].free_at().max(start) + drain_cycles;
             self.banks[bank_idx].reserve_until(free);
@@ -170,8 +170,7 @@ impl MainMemory {
         }
         if self.channels[d.channel].queued_writes() >= self.config.write_queue_capacity {
             self.channels[d.channel].drain_writes(1);
-            let (_, done) =
-                self.banks[bank_idx].serve_write(d.tile_in_bank, &req.line, accept, &t);
+            let (_, done) = self.banks[bank_idx].serve_write(d.tile_in_bank, &req.line, accept, &t);
             accept = done;
         }
         self.channels[d.channel].push_write();
@@ -281,10 +280,7 @@ mod tests {
         let mut col_mem = mem();
         let r = row_mem.read(LineKey::new(0, Orientation::Row, 0), 0);
         let c = col_mem.read(LineKey::new(0, Orientation::Col, 0), 0);
-        assert_eq!(
-            c.done - r.done,
-            MemConfig::paper().timing.col_decode_extra
-        );
+        assert_eq!(c.done - r.done, MemConfig::paper().timing.col_decode_extra);
     }
 
     #[test]
@@ -376,7 +372,11 @@ mod tests {
         );
         let mut now = 0;
         for t in 0..64u64 {
-            let line = LineKey::new(t, if t % 2 == 0 { Orientation::Row } else { Orientation::Col }, (t % 8) as u8);
+            let line = LineKey::new(
+                t,
+                if t % 2 == 0 { Orientation::Row } else { Orientation::Col },
+                (t % 8) as u8,
+            );
             let a = plain.read(line, now);
             let b = seeded.read(line, now);
             assert_eq!(a, b);

@@ -83,10 +83,7 @@ mod tests {
         let mda = simulate(&p, &mda_cfg);
         let e_base = model.memory_energy_nj(&base);
         let e_mda = model.memory_energy_nj(&mda);
-        assert!(
-            e_mda < 0.7 * e_base,
-            "MDA memory energy {e_mda:.0} nJ vs baseline {e_base:.0} nJ"
-        );
+        assert!(e_mda < 0.7 * e_base, "MDA memory energy {e_mda:.0} nJ vs baseline {e_base:.0} nJ");
     }
 
     fn write_walk(n: i64) -> Program {
@@ -104,9 +101,8 @@ mod tests {
     fn write_retries_cost_energy() {
         let p = write_walk(64);
         let clean_cfg = SystemConfig::tiny(HierarchyKind::Baseline1P1L);
-        let faulty_cfg = clean_cfg
-            .clone()
-            .with_faults(mda_mem::FaultConfig::uniform(11, 0.02, 0.0, 0.0));
+        let faulty_cfg =
+            clean_cfg.clone().with_faults(mda_mem::FaultConfig::uniform(11, 0.02, 0.0, 0.0));
         let clean = simulate(&p, &clean_cfg);
         let faulty = simulate(&p, &faulty_cfg);
         assert!(faulty.mem.write_retries > 0, "expected retries at 2% write BER");

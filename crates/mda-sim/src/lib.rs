@@ -40,9 +40,9 @@ pub mod system;
 pub use crate::core::{Core, CoreConfig};
 pub use energy::EnergyModel;
 pub use hierarchy::Hierarchy;
+pub use mda_mem::{ConfigError, FaultConfig, FaultRates};
 pub use multicore::{simulate_multicore, MulticoreReport};
 pub use occupancy::{OccupancySample, OccupancyTimeline};
-pub use mda_mem::{ConfigError, FaultConfig, FaultRates};
 pub use report::SimReport;
 pub use run::simulate;
 pub use system::{HierarchyKind, SystemConfig};

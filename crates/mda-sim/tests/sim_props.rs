@@ -14,11 +14,7 @@ struct ProgSpec {
 }
 
 fn prog_strategy() -> impl Strategy<Value = ProgSpec> {
-    (
-        1u64..4,
-        proptest::collection::vec((0u8..3, 0u8..3, any::<bool>()), 1..4),
-        0u32..4,
-    )
+    (1u64..4, proptest::collection::vec((0u8..3, 0u8..3, any::<bool>()), 1..4), 0u32..4)
         .prop_map(|(blocks, refs, flops)| ProgSpec { dim: blocks * 8, refs, flops })
 }
 
@@ -52,10 +48,7 @@ fn build(spec: &ProgSpec) -> Program {
         })
         .collect();
     p.add_nest(LoopNest {
-        loops: vec![
-            Loop::constant(0, spec.dim as i64),
-            Loop::constant(0, spec.dim as i64),
-        ],
+        loops: vec![Loop::constant(0, spec.dim as i64), Loop::constant(0, spec.dim as i64)],
         refs,
         flops_per_iter: spec.flops,
     });

@@ -11,10 +11,8 @@ use mdacache::workloads::Kernel;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let kernel = args
-        .get(1)
-        .map(|s| Kernel::parse(s).expect("kernel name"))
-        .unwrap_or(Kernel::Strmm);
+    let kernel =
+        args.get(1).map(|s| Kernel::parse(s).expect("kernel name")).unwrap_or(Kernel::Strmm);
     let n: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(128);
     let src = kernel.build(n);
 

@@ -27,11 +27,7 @@ fn report(w: &HtapWorkload) {
     use mdacache::compiler::trace::TraceSource;
     let cfg_base = SystemConfig::scaled(HierarchyKind::Baseline1P1L);
     let mix = access_mix(w, &cfg_base.codegen);
-    println!(
-        "{:12} column volume {:>5.1}%",
-        w.name(),
-        mix.col_fraction() * 100.0
-    );
+    println!("{:12} column volume {:>5.1}%", w.name(), mix.col_fraction() * 100.0);
     let base = simulate(w, &cfg_base);
     println!(
         "  1P1L+prefetch: {:>11} cycles  {:>8} KB memory traffic",

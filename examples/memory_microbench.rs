@@ -8,10 +8,7 @@
 
 use mdacache::mem::{LineKey, MainMemory, MemConfig, Orientation};
 
-fn average_read_latency(
-    mem: &mut MainMemory,
-    lines: impl Iterator<Item = LineKey>,
-) -> (f64, f64) {
+fn average_read_latency(mem: &mut MainMemory, lines: impl Iterator<Item = LineKey>) -> (f64, f64) {
     let mut total = 0u64;
     let mut count = 0u64;
     let mut now = 0u64;
@@ -62,10 +59,7 @@ fn main() {
         &mut mem,
         (0..512u64).flat_map(|t| (0..8).map(move |r| LineKey::new(t, Orientation::Row, r))),
     );
-    println!(
-        "column via rows:    {:6.1} cycles per useful 64 B (8 row lines fetched)",
-        lat * 8.0
-    );
+    println!("column via rows:    {:6.1} cycles per useful 64 B (8 row lines fetched)", lat * 8.0);
 
     // 4. Mixed-direction pressure on the same tiles: both buffers stay warm.
     let mut mem = MainMemory::new(MemConfig::paper());

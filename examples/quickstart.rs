@@ -25,11 +25,9 @@ fn main() {
         baseline.llc_memory_bytes() / 1024,
     );
 
-    for kind in [
-        HierarchyKind::P1L2DifferentSet,
-        HierarchyKind::P1L2SameSet,
-        HierarchyKind::P2L2Sparse,
-    ] {
+    for kind in
+        [HierarchyKind::P1L2DifferentSet, HierarchyKind::P1L2SameSet, HierarchyKind::P2L2Sparse]
+    {
         let r = simulate(&program, &SystemConfig::scaled(kind));
         println!(
             "{:14} {:>12} cycles  L1 hit {:>5.1}%  memory traffic {:>7} KB  ({:.0}% faster)",

@@ -15,20 +15,15 @@ use mdacache::workloads::Kernel;
 fn main() {
     let n: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(64);
     let mix = [Kernel::Htap1, Kernel::Htap2, Kernel::Sobel, Kernel::Sobel];
-    println!(
-        "4-core consolidation: {} (inputs sized {n})\n",
-        mix.map(|k| k.name()).join(" + ")
-    );
+    println!("4-core consolidation: {} (inputs sized {n})\n", mix.map(|k| k.name()).join(" + "));
 
     let sources: Vec<Box<dyn TraceSource>> = mix.iter().map(|k| k.build(n)).collect();
     let refs: Vec<&dyn TraceSource> = sources.iter().map(|s| s.as_ref()).collect();
 
     let mut base_makespan = 1;
-    for kind in [
-        HierarchyKind::Baseline1P1L,
-        HierarchyKind::P1L2DifferentSet,
-        HierarchyKind::P2L2Sparse,
-    ] {
+    for kind in
+        [HierarchyKind::Baseline1P1L, HierarchyKind::P1L2DifferentSet, HierarchyKind::P2L2Sparse]
+    {
         let cfg = SystemConfig::tiny(kind);
         let r = simulate_multicore(&refs, &cfg);
         if kind == HierarchyKind::Baseline1P1L {

@@ -66,7 +66,8 @@ fn each_distinct_cell_is_simulated_once() {
     let kind = HierarchyKind::P1L2DifferentSet;
     let plain = Scale::Tiny.system(kind);
     let faulty = plain.clone().with_faults(ext_reliability::fault_config(1e-3));
-    let reseeded = plain.clone().with_faults(FaultConfig::uniform(7, 1e-3, 1e-3 / 8.0, 1e-3 / 16.0));
+    let reseeded =
+        plain.clone().with_faults(FaultConfig::uniform(7, 1e-3, 1e-3 / 8.0, 1e-3 / 16.0));
     let invalid = plain.clone().with_faults(FaultConfig::uniform(7, -1.0, 0.0, 0.0));
     let (out, simulated) = run_counted(&[
         Cell::new("plain", Kernel::Sgemm, n, plain),
@@ -108,7 +109,8 @@ fn each_distinct_cell_is_simulated_once() {
     let mut broken = base;
     broken.mem.channels = 0;
     for attempt in 0..2 {
-        let (out, simulated) = run_counted(&[Cell::new("broken", Kernel::Ssyrk, 16, broken.clone())]);
+        let (out, simulated) =
+            run_counted(&[Cell::new("broken", Kernel::Ssyrk, 16, broken.clone())]);
         assert!(out[0].is_err(), "attempt {attempt}: an invalid config must degrade");
         assert_eq!(simulated, 1, "attempt {attempt}: degraded cells are simulated again");
     }

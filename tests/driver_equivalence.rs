@@ -60,10 +60,7 @@ mod oracle {
         Hierarchy::multicore(privates, shared_llc, prefetchers, MainMemory::new(cfg.mem))
     }
 
-    pub fn simulate_multicore(
-        sources: &[&dyn TraceSource],
-        cfg: &SystemConfig,
-    ) -> MulticoreReport {
+    pub fn simulate_multicore(sources: &[&dyn TraceSource], cfg: &SystemConfig) -> MulticoreReport {
         assert!(!sources.is_empty(), "need at least one workload");
         let traces: Vec<Captured> = sources.iter().map(|s| capture(*s, cfg)).collect();
 
@@ -73,9 +70,8 @@ mod oracle {
         let mut counts = vec![OpCounts::default(); sources.len()];
         let mut finished: Vec<Option<Cycle>> = vec![None; sources.len()];
 
-        while let Some(idx) = (0..cores.len())
-            .filter(|i| finished[*i].is_none())
-            .min_by_key(|i| cores[*i].now())
+        while let Some(idx) =
+            (0..cores.len()).filter(|i| finished[*i].is_none()).min_by_key(|i| cores[*i].now())
         {
             let op = traces[idx].ops[cursors[idx]];
             let op = offset_op(op, idx as u64 * CORE_ADDRESS_STRIDE);

@@ -15,22 +15,14 @@ fn one_run_renders_text_and_every_csv() {
         (
             "ext_reliability",
             12,
-            &[
-                "ext_reliability_cycles",
-                "ext_reliability_retries",
-                "ext_reliability_corrected",
-            ],
+            &["ext_reliability_cycles", "ext_reliability_retries", "ext_reliability_corrected"],
         ),
     ];
     for (name, cells, stems) in cases {
         let (_, run) = experiments::find(name).expect("known experiment");
         parallel::take_cell_count();
         let out = run(Scale::Tiny);
-        assert_eq!(
-            parallel::take_cell_count(),
-            cells,
-            "{name}: each cell simulated once"
-        );
+        assert_eq!(parallel::take_cell_count(), cells, "{name}: each cell simulated once");
         let names: Vec<&str> = out.csvs.iter().map(|(stem, _)| stem.as_str()).collect();
         assert_eq!(names, stems, "{name}: CSV file names");
         // Text and CSVs render the same result: every CSV row label is a
@@ -39,9 +31,7 @@ fn one_run_renders_text_and_every_csv() {
             for line in body.lines().skip(1) {
                 let label = line.split(',').next().unwrap_or_default();
                 assert!(
-                    out.text
-                        .lines()
-                        .any(|l| l.split_whitespace().next() == Some(label)),
+                    out.text.lines().any(|l| l.split_whitespace().next() == Some(label)),
                     "{stem}: row {label} not in the text"
                 );
             }

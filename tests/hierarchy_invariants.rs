@@ -3,9 +3,9 @@
 //! any design point.
 
 use mdacache::cache::level::{CacheLevel, CacheLevelExt};
+use mdacache::compiler::TraceOp;
 use mdacache::sim::{HierarchyKind, SystemConfig};
 use mdacache::workloads::Kernel;
-use mdacache::compiler::TraceOp;
 
 #[test]
 fn draining_the_hierarchy_flushes_all_dirty_data() {

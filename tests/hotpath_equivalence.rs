@@ -51,10 +51,7 @@ fn simreports_match_pre_refactor_golden() {
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with MDA_UPDATE_GOLDEN=1",
-            path.display()
-        )
+        panic!("missing golden file {} ({e}); regenerate with MDA_UPDATE_GOLDEN=1", path.display())
     });
     if got == want {
         return;

@@ -52,7 +52,9 @@ fn seeded_mutations_are_caught_by_the_model_check() {
     let cex = report.counterexample.expect("mutation must be detected");
     assert!(matches!(
         cex.violation,
-        Violation::StaleCopy { .. } | Violation::DirtyNotSole { .. } | Violation::DoubleDirty { .. }
+        Violation::StaleCopy { .. }
+            | Violation::DirtyNotSole { .. }
+            | Violation::DoubleDirty { .. }
     ));
 
     let report = explore_2p2l(2, true, Mutation::DropWritebackWord { offset: 0 }, &cfg());

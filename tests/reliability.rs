@@ -32,7 +32,12 @@ fn zero_rates_leave_every_design_report_untouched() {
             assert!(!a.render().contains("reliability:"), "fault-free report grew a line");
             for faults in models {
                 let b = run_kernel(Kernel::Sgemm, *n, &plain.clone().with_faults(*faults));
-                assert_eq!(a, b, "{} n={n}: zero-rate faults {faults:?} perturbed the report", kind.name());
+                assert_eq!(
+                    a,
+                    b,
+                    "{} n={n}: zero-rate faults {faults:?} perturbed the report",
+                    kind.name()
+                );
                 assert!(!b.mem.reliability_active(), "{}: phantom reliability events", kind.name());
             }
         }

@@ -6,8 +6,8 @@
 
 use mdacache::cache::{Access, Cache1P1L, CacheConfig, CacheLevel, CacheLevelExt};
 use mdacache::compiler::reuse::{ReuseGranularity, ReuseProfile};
-use mdacache::compiler::{AffineExpr, ArrayRef, CodegenOptions, Loop, LoopNest, Program};
 use mdacache::compiler::trace::{TraceOp, TraceSource};
+use mdacache::compiler::{AffineExpr, ArrayRef, CodegenOptions, Loop, LoopNest, Program};
 use mdacache::mem::Orientation;
 
 fn scalar_opts() -> CodegenOptions {
