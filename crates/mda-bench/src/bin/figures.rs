@@ -17,20 +17,21 @@
 //! under DIR (for external plotting).
 //!
 //! --jobs N runs each experiment's simulation cells on N worker threads
-//! (default: the machine's cores, or the MDA_JOBS environment variable).
-//! Output is byte-identical regardless of N; --jobs 1 is the sequential
-//! harness.
+//! (default: MDA_JOBS, else the machine's cores; a malformed MDA_JOBS is
+//! reported at start-up). Output is byte-identical regardless of N;
+//! --jobs 1 is the sequential harness.
 //!
 //! --bench-timings additionally writes BENCH_harness.json: one entry per
 //! experiment with its wall-clock "seconds", the "cells" it submitted,
 //! how many of them were "simulated" and the worker count ("jobs").
-//! Each distinct cell is simulated once per process, so an experiment
-//! whose cells an earlier one already ran simulates fewer than it
-//! submits (ext_energy after fig14 simulates none).
+//! All experiments of one invocation share one harness, whose memo
+//! simulates each distinct cell once, so an experiment whose cells an
+//! earlier one already ran simulates fewer than it submits (ext_energy
+//! after fig14 simulates none).
 //! ```
 
 use mda_bench::experiments::{self, Experiment};
-use mda_bench::{parallel, Scale};
+use mda_bench::{Harness, Scale};
 use std::time::Instant;
 
 fn usage() -> ! {
@@ -62,6 +63,7 @@ fn main() {
     let mut targets: Vec<String> = Vec::new();
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut bench_entries: Option<Vec<String>> = None;
+    let mut jobs = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -82,7 +84,7 @@ fn main() {
             "--jobs" => {
                 let Some(v) = it.next() else { usage() };
                 match v.parse::<usize>() {
-                    Ok(n) if n > 0 => parallel::set_jobs(n),
+                    Ok(n) if n > 0 => jobs = Some(n),
                     _ => {
                         eprintln!("--jobs expects a positive integer, got '{v}'");
                         usage()
@@ -119,22 +121,20 @@ fn main() {
             std::process::exit(1);
         }
     }
+    let harness = Harness::from_env(jobs);
     eprintln!("scale: {scale}\n");
     for (name, run) in chosen {
-        parallel::take_cell_count();
-        parallel::take_simulated_count();
         let t0 = Instant::now();
-        let out = run(scale);
+        let out = run(&harness, scale);
         println!("{}", out.text);
         let seconds = t0.elapsed().as_secs_f64();
         eprintln!("[{name} completed in {seconds:.1}s]\n");
-        let cells = parallel::take_cell_count();
-        let simulated = parallel::take_simulated_count();
+        let (cells, simulated) = harness.take_counts();
         if let Some(entries) = &mut bench_entries {
             entries.push(format!(
                 "  {{\"experiment\": \"{name}\", \"scale\": \"{scale}\", \"seconds\": {seconds:.3}, \
                  \"cells\": {cells}, \"simulated\": {simulated}, \"jobs\": {}}}",
-                parallel::jobs()
+                harness.jobs
             ));
         }
         if let Some(dir) = &csv_dir {

@@ -24,14 +24,14 @@
 //! reported on stderr and printed as `degraded`, leaving the rest of the
 //! sweep intact.
 //!
-//! Every point × design cell goes through `mda_bench::parallel::run_cells`
-//! on the worker pool (`--jobs N`, or the `MDA_JOBS` environment variable;
-//! defaults to the machine's cores), so each distinct cell is simulated
-//! once and `MDA_PANIC_CELL` drills sweep cells too.
+//! Every point × design cell goes through the `run_cells` of one
+//! `mda_bench::Harness` (`--jobs N`, or the `MDA_JOBS` environment
+//! variable; defaults to the machine's cores), so each distinct cell is
+//! simulated once and `MDA_PANIC_CELL` drills sweep cells too.
 
 use mda_bench::experiments::ext_reliability;
-use mda_bench::parallel::{self, Cell};
-use mda_bench::Scale;
+use mda_bench::parallel::Cell;
+use mda_bench::{Harness, Scale};
 use mda_sim::{FaultConfig, HierarchyKind, SystemConfig};
 use mda_workloads::Kernel;
 
@@ -141,6 +141,7 @@ fn main() {
     let mut write_ber = 0.0;
     let mut read_disturb = 0.0;
     let mut retention_ber = 0.0;
+    let mut jobs = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -158,7 +159,7 @@ fn main() {
             }
             "--jobs" => {
                 match it.next().unwrap_or_default().parse::<usize>() {
-                    Ok(n) if n > 0 => parallel::set_jobs(n),
+                    Ok(n) if n > 0 => jobs = Some(n),
                     _ => {
                         eprintln!("--jobs expects a positive integer");
                         std::process::exit(2);
@@ -203,7 +204,7 @@ fn main() {
                 .map(|(name, cfg)| Cell::new(format!("{}/{name}", p.label), kernel, n, cfg.clone()))
         })
         .collect();
-    let outcomes = parallel::run_cells(&all_cells);
+    let outcomes = Harness::from_env(jobs).run_cells(&all_cells);
     for failure in outcomes.iter().filter_map(|o| o.as_ref().err()) {
         eprintln!("warning: {failure}");
     }

@@ -11,18 +11,19 @@
 //!   ("given the large transfer unit … we directly explore a variant that
 //!   supports sparse occupancy"); this ablation shows why.
 
-use crate::experiments::{against_baseline, normalized, FigureTable};
-use crate::scale::Scale;
+use crate::experiments::{against_baseline, normalized, FigureTable, Panel};
+use crate::{Harness, Scale};
 use mda_compiler::CodegenOptions;
 use mda_sim::HierarchyKind;
 
 /// Runs the layout-mismatch ablation: 1P1L on its native 1-D layout versus
 /// 1P1L forced onto the 2-D (MDA-optimized) layout.
-pub fn layout_mismatch(scale: Scale) -> FigureTable {
+pub fn layout_mismatch(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let mut mismatched_cfg = scale.system(HierarchyKind::Baseline1P1L);
     mismatched_cfg.codegen = CodegenOptions::baseline_on_mda_layout();
     let [fig] = normalized(
+        harness,
         "ablation_layout",
         n,
         &[
@@ -39,9 +40,10 @@ pub fn layout_mismatch(scale: Scale) -> FigureTable {
 
 /// Runs the dense-fill ablation: sparse versus dense 2P2L LLC, normalized
 /// to the baseline.
-pub fn dense_fill(scale: Scale) -> FigureTable {
+pub fn dense_fill(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let [fig] = normalized(
+        harness,
         "ablation_dense",
         n,
         &against_baseline(&[HierarchyKind::P2L2Sparse, HierarchyKind::P2L2Dense], |kind| {
@@ -60,10 +62,12 @@ pub fn dense_fill(scale: Scale) -> FigureTable {
 /// column accesses still activate a new row per access. Both the baseline
 /// and the 1P2L design are re-run with four sub-buffers per orientation,
 /// normalized to their own single-buffer variants.
-pub fn sub_row_buffers(scale: Scale) -> FigureTable {
+pub fn sub_row_buffers(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
-    let title =
-        format!("Ablation — 4 sub-row buffers per bank, cycles normalized to 1 buffer ({n}×{n})");
+    let panel: Panel = (
+        format!("Ablation — 4 sub-row buffers per bank, cycles normalized to 1 buffer ({n}×{n})"),
+        |r| r.cycles as f64,
+    );
     // One grid per design, each normalized to its own 1-buffer run.
     let [mut fig, p1l2] =
         [HierarchyKind::Baseline1P1L, HierarchyKind::P1L2DifferentSet].map(|kind| {
@@ -73,8 +77,7 @@ pub fn sub_row_buffers(scale: Scale) -> FigureTable {
                 (format!("{}+1buf", kind.name()), scale.system(kind)),
                 (format!("{}+4buf", kind.name()), multi_cfg),
             ];
-            let [fig] =
-                normalized("ablation_subbuf", n, &series, [(title.clone(), |r| r.cycles as f64)]);
+            let [fig] = normalized(harness, "ablation_subbuf", n, &series, [panel.clone()]);
             fig
         });
     fig.series.extend(p1l2.series);
@@ -86,9 +89,10 @@ pub fn sub_row_buffers(scale: Scale) -> FigureTable {
 /// rows is compared against the 1P1L baseline and the logically 2-D
 /// designs — isolating how much of the MDA benefit comes from the physical
 /// array (≈ none) versus from logically 2-D caching (≈ all of it).
-pub fn taxonomy_2p1l(scale: Scale) -> FigureTable {
+pub fn taxonomy_2p1l(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let [fig] = normalized(
+        harness,
         "ablation_2p1l",
         n,
         &against_baseline(&[HierarchyKind::P2L1, HierarchyKind::P2L2Sparse], |kind| {
@@ -107,14 +111,14 @@ mod tests {
 
     #[test]
     fn layout_mismatch_slows_the_baseline_down() {
-        let fig = layout_mismatch(Scale::Tiny);
+        let fig = layout_mismatch(Harness::shared(), Scale::Tiny);
         let avg = fig.average("1P1L-on-2D-layout").expect("series");
         assert!(avg > 1.1, "layout mismatch should clearly hurt, got {avg}");
     }
 
     #[test]
     fn sparse_fill_beats_dense_fill() {
-        let fig = dense_fill(Scale::Tiny);
+        let fig = dense_fill(Harness::shared(), Scale::Tiny);
         let sparse = fig.average("2P2L").expect("series");
         let dense = fig.average("2P2L_Dense").expect("series");
         assert!(sparse < dense, "sparse {sparse} must beat dense {dense}");
@@ -126,7 +130,7 @@ mod tests {
         // identical row-only stream) while the logically 2-D 2P2L wins big:
         // the benefit comes from expressing column preference, not from
         // the array technology.
-        let fig = taxonomy_2p1l(Scale::Tiny);
+        let fig = taxonomy_2p1l(Harness::shared(), Scale::Tiny);
         let p2l1 = fig.average("2P1L").expect("series");
         let p2l2 = fig.average("2P2L").expect("series");
         assert!((p2l1 - 1.0).abs() < 0.25, "2P1L should track the baseline, got {p2l1}");
@@ -141,7 +145,7 @@ mod tests {
         // physical rows, so the *baseline* captures some reuse (EXPERIMENTS
         // .md records the at-scale numbers); the MDA design, which opens a
         // column buffer once per line anyway, stays within noise.
-        let fig = sub_row_buffers(Scale::Tiny);
+        let fig = sub_row_buffers(Harness::shared(), Scale::Tiny);
         for series in ["1P1L+4buf", "1P2L+4buf"] {
             let avg = fig.average(series).expect("series");
             assert!(avg <= 1.02, "{series}: extra buffers should never hurt, got {avg}");

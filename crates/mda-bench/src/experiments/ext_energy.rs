@@ -8,13 +8,14 @@
 
 use crate::experiments::{against_baseline, normalized, FigureTable};
 use crate::fig11::PLOTTED;
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_sim::EnergyModel;
 
 /// Runs the energy comparison (memory-system energy, normalized).
-pub fn run(scale: Scale) -> FigureTable {
+pub fn run(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let [fig] = normalized(
+        harness,
         "ext_energy",
         n,
         &against_baseline(&PLOTTED, |kind| scale.system(kind)),
@@ -32,7 +33,7 @@ mod tests {
 
     #[test]
     fn mda_designs_cut_memory_energy_across_the_suite() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         for design in ["1P2L", "1P2L_SameSet", "2P2L"] {
             let avg = fig.average(design).expect("series");
             assert!(avg < 0.6, "{design}: memory energy only fell to {avg:.2}");

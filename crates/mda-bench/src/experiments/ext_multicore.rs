@@ -16,7 +16,7 @@
 //!   banks.
 
 use crate::experiments::FigureTable;
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_compiler::trace::TraceSource;
 use mda_sim::multicore::simulate_multicore;
 use mda_sim::HierarchyKind;
@@ -41,7 +41,7 @@ fn run_mix(scale: Scale, kind: HierarchyKind, sub_buffers: usize) -> u64 {
 }
 
 /// Runs the multi-programmed comparison.
-pub fn run(scale: Scale) -> FigureTable {
+pub fn run(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let mut fig = FigureTable::new(
         format!(
@@ -59,7 +59,7 @@ pub fn run(scale: Scale) -> FigureTable {
         (HierarchyKind::Baseline1P1L, 4),
         (HierarchyKind::P1L2DifferentSet, 4),
     ];
-    let makespans = crate::parallel::par_map(&points, |(kind, sub)| run_mix(scale, *kind, *sub));
+    let makespans = harness.par_map(&points, |(kind, sub)| run_mix(scale, *kind, *sub));
     let ratio = |num: usize, den: usize| vec![makespans[num] as f64 / makespans[den].max(1) as f64];
     for (i, kind) in PLOTTED.iter().enumerate() {
         fig.push_series(kind.name(), ratio(i, 0));
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn mda_designs_win_under_multiprogramming_too() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         let p1l2 = fig.value("1P2L", "makespan").expect("series");
         let p2l2 = fig.value("2P2L", "makespan").expect("series");
         assert!(p1l2 < 0.8, "1P2L multiprogrammed makespan {p1l2}");

@@ -15,7 +15,7 @@
 //! across runs and worker counts.
 
 use crate::experiments::{metric_series, norm, FigureTable};
-use crate::parallel::{run_cells, Cell};
+use crate::parallel::{Cell, Harness};
 use crate::scale::Scale;
 use mda_sim::{FaultConfig, HierarchyKind};
 use mda_workloads::Kernel;
@@ -59,7 +59,7 @@ pub struct ReliabilityFigure {
 }
 
 /// Runs the sweep on `sgemm` (the most write-heavy kernel of the suite).
-pub fn run(scale: Scale) -> ReliabilityFigure {
+pub fn run(harness: &Harness, scale: Scale) -> ReliabilityFigure {
     let n = scale.input();
     let rows: Vec<String> = BERS.iter().map(|b| ber_label(*b)).collect();
     let mut cycles = FigureTable::new(
@@ -88,7 +88,7 @@ pub fn run(scale: Scale) -> ReliabilityFigure {
             })
         })
         .collect();
-    let outcomes = run_cells(&cells);
+    let outcomes = harness.run_cells(&cells);
 
     for (kind, chunk) in PLOTTED.iter().zip(outcomes.chunks(BERS.len())) {
         // chunk[0] is the design's own ber=0 run: the cycle normalizer.
@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn fault_free_row_is_exactly_one_with_zero_retries() {
-        let f = run(Scale::Tiny);
+        let f = run(Harness::shared(), Scale::Tiny);
         for kind in PLOTTED {
             let d = kind.name();
             assert_eq!(f.cycles.value(d, "ber=0"), Some(1.0), "{d} normalizer");
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn aggressive_error_rates_cost_retries_and_cycles() {
-        let f = run(Scale::Tiny);
+        let f = run(Harness::shared(), Scale::Tiny);
         let worst = ber_label(BERS[BERS.len() - 1]);
         for kind in PLOTTED {
             let d = kind.name();
@@ -141,6 +141,7 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        assert_eq!(run(Scale::Tiny), run(Scale::Tiny));
+        // A fresh harness: the second run simulates, not reads the memo.
+        assert_eq!(run(Harness::shared(), Scale::Tiny), run(&Harness::new(2, None), Scale::Tiny));
     }
 }

@@ -10,7 +10,7 @@
 //! only" and "collaborative" tiling can be compared directly.
 
 use crate::experiments::FigureTable;
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_compiler::{tile_program, Program, TraceSource};
 use mda_sim::{simulate, HierarchyKind, SystemConfig};
 use mda_workloads::sgemm;
@@ -34,7 +34,7 @@ fn sgemm_blocked(n: u64) -> Program {
 /// Runs the comparison. Values are cycles normalized to the untiled
 /// prefetching baseline; series order is software-only → hardware-only →
 /// collaborative.
-pub fn run(scale: Scale) -> FigureTable {
+pub fn run(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let plain = sgemm(n);
     let blocked = sgemm_blocked(n);
@@ -48,9 +48,8 @@ pub fn run(scale: Scale) -> FigureTable {
         ("2P2L", &plain, scale.system(HierarchyKind::P2L2Sparse)),
         ("2P2L+tiling", &blocked, scale.system(HierarchyKind::P2L2Sparse)),
     ];
-    let cycles = crate::parallel::par_map(&variants, |(_, program, cfg)| {
-        simulate(*program as &dyn TraceSource, cfg).cycles
-    });
+    let cycles = harness
+        .par_map(&variants, |(_, program, cfg)| simulate(*program as &dyn TraceSource, cfg).cycles);
     let base = cycles[0];
     let mut fig = FigureTable::new(
         format!("Extension — collaborative tiling on sgemm, normalized cycles ({n}×{n})"),
@@ -86,7 +85,7 @@ mod tests {
 
     #[test]
     fn collaborative_tiling_beats_hardware_tiling_alone() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         let hw = fig.value("2P2L", "sgemm").expect("series");
         let collab = fig.value("2P2L+tiling", "sgemm").expect("series");
         assert!(collab < hw, "collaborative ({collab:.3}) should beat hardware-only ({hw:.3})");
@@ -94,7 +93,7 @@ mod tests {
 
     #[test]
     fn tiling_also_helps_the_1p2l_hierarchy() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         let sw = fig.value("1P2L+tiling", "sgemm").expect("series");
         let plain = fig.value("1P2L", "sgemm").expect("series");
         assert!(sw < plain * 1.05, "tiling should not hurt 1P2L ({plain:.3} → {sw:.3})");

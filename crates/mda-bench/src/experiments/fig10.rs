@@ -5,8 +5,8 @@
 //! This figure is a property of the compiled (MDA-target) trace, not of
 //! any cache design, so it runs on the trace generator alone.
 
-use crate::scale::Scale;
 use crate::table::{fmt_pct, TextTable};
+use crate::{Harness, Scale};
 use mda_compiler::trace::{access_mix, AccessMix};
 use mda_compiler::CodegenOptions;
 use mda_workloads::Kernel;
@@ -24,7 +24,7 @@ pub struct MixRow {
 
 /// Computes the access mix of every kernel at both of the scale's input
 /// sizes (the paper's 256×256 and 512×512 panels).
-pub fn run(scale: Scale) -> Vec<MixRow> {
+pub fn run(harness: &Harness, scale: Scale) -> Vec<MixRow> {
     let opts = CodegenOptions::mda();
     // Trace generation dominates here; each (size, kernel) pair is an
     // independent cell, fanned out across the worker pool.
@@ -32,15 +32,15 @@ pub fn run(scale: Scale) -> Vec<MixRow> {
         .into_iter()
         .flat_map(|n| Kernel::all().map(|k| (n, k)))
         .collect();
-    crate::parallel::par_map(&inputs, |(n, k)| {
+    harness.par_map(&inputs, |(n, k)| {
         let src = k.build(*n);
         MixRow { kernel: k.name().into(), n: *n, mix: access_mix(src.as_ref(), &opts) }
     })
 }
 
 /// Renders the figure.
-pub fn render(scale: Scale) -> String {
-    let rows = run(scale);
+pub fn render(harness: &Harness, scale: Scale) -> String {
+    let rows = run(harness, scale);
     let mut out = String::from("Fig. 10 — access-type distribution by data volume (MDA codegen)\n");
     for n in [scale.small_input(), scale.input()] {
         let mut t = TextTable::new(vec![
@@ -74,7 +74,7 @@ mod tests {
     fn every_kernel_exercises_column_preference() {
         // The paper's key observation from Fig. 10: all benchmarks use
         // column accesses, around 40% of total volume on average.
-        let rows = run(Scale::Tiny);
+        let rows = run(Harness::shared(), Scale::Tiny);
         for r in &rows {
             assert!(r.mix.col_fraction() > 0.0, "{} has no column volume", r.kernel);
         }
@@ -84,7 +84,7 @@ mod tests {
 
     #[test]
     fn render_mentions_both_sizes() {
-        let out = render(Scale::Tiny);
+        let out = render(Harness::shared(), Scale::Tiny);
         assert!(out.contains("32 × 32"));
         assert!(out.contains("64 × 64"));
     }

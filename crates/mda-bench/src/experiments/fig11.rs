@@ -11,7 +11,7 @@
 //! into the L1, counting the baseline's prefetcher work.
 
 use crate::experiments::{against_baseline, normalized, FigureTable};
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_sim::HierarchyKind;
 
 /// The MDA designs plotted by Figs. 11–14 (the baseline is the normalizer).
@@ -28,9 +28,10 @@ pub struct Fig11 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig11 {
+pub fn run(harness: &Harness, scale: Scale) -> Fig11 {
     let n = scale.input();
     let [hit_rate, fills] = normalized(
+        harness,
         "fig11",
         n,
         &against_baseline(&PLOTTED, |kind| scale.system(kind)),
@@ -53,7 +54,7 @@ mod tests {
 
     #[test]
     fn hit_rates_are_positive_everywhere() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         for (_, vals) in &fig.hit_rate.series {
             assert!(vals.iter().all(|v| *v > 0.0));
         }
@@ -61,7 +62,7 @@ mod tests {
 
     #[test]
     fn mda_designs_cut_l1_fills() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         for design in ["1P2L", "1P2L_SameSet", "2P2L"] {
             let avg = fig.fills.average(design).expect("series");
             assert!(avg < 0.7, "{design}: fill count only fell to {avg:.2}");

@@ -4,17 +4,18 @@
 
 use crate::experiments::{against_baseline, normalized, FigureTable};
 use crate::fig11::PLOTTED;
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 
 /// Runs the sweep: one normalized-cycles figure per LLC capacity.
-pub fn run(scale: Scale) -> Vec<(u64, FigureTable)> {
-    scale.llc_sweep().into_iter().map(|llc| (llc, run_one(scale, llc))).collect()
+pub fn run(harness: &Harness, scale: Scale) -> Vec<(u64, FigureTable)> {
+    scale.llc_sweep().into_iter().map(|llc| (llc, run_one(harness, scale, llc))).collect()
 }
 
 /// Runs one LLC point of the sweep.
-pub fn run_one(scale: Scale, llc: u64) -> FigureTable {
+pub fn run_one(harness: &Harness, scale: Scale, llc: u64) -> FigureTable {
     let n = scale.input();
     let [fig] = normalized(
+        harness,
         "fig12",
         n,
         &against_baseline(&PLOTTED, |kind| scale.system_with_llc(kind, llc)),
@@ -33,7 +34,7 @@ mod tests {
     #[test]
     fn mda_designs_beat_the_baseline_at_the_smallest_llc() {
         // The paper's headline: large average reductions at the 1 MB point.
-        let fig = run_one(Scale::Tiny, Scale::Tiny.llc_sweep()[0]);
+        let fig = run_one(Harness::shared(), Scale::Tiny, Scale::Tiny.llc_sweep()[0]);
         for design in ["1P2L", "1P2L_SameSet", "2P2L"] {
             let avg = fig.average(design).expect("series present");
             assert!(avg < 0.8, "{design} average {avg} not a clear win");

@@ -7,7 +7,7 @@
 //! still positive) reductions than in Fig. 12.
 
 use crate::experiments::{against_baseline, normalized, FigureTable};
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_sim::HierarchyKind;
 
 /// Designs plotted by Fig. 13 (the paper shows 1P1L, 1P2L, 2P2L).
@@ -15,9 +15,10 @@ pub const PLOTTED: [HierarchyKind; 2] =
     [HierarchyKind::P1L2DifferentSet, HierarchyKind::P2L2Sparse];
 
 /// Runs the cache-resident comparison.
-pub fn run(scale: Scale) -> FigureTable {
+pub fn run(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.small_input();
     let [fig] = normalized(
+        harness,
         "fig13",
         n,
         &against_baseline(&PLOTTED, |kind| scale.cache_resident_system(kind)),
@@ -37,7 +38,7 @@ mod tests {
     fn resident_latency_is_still_reduced_on_average() {
         // Paper: "Latency is still reduced, on average" for the
         // cache-resident configuration.
-        let resident = run(Scale::Tiny);
+        let resident = run(Harness::shared(), Scale::Tiny);
         for design in ["1P2L", "2P2L"] {
             let res = resident.average(design).expect("series");
             assert!(res < 1.0, "{design} resident average {res} regressed");
@@ -53,8 +54,9 @@ mod tests {
         // LLC-resident. Compute-vectorization-dominated kernels keep
         // their µop advantage in cache, which our issue-bound core model
         // weights more heavily than the paper's (see EXPERIMENTS.md).
-        let resident = run(Scale::Tiny);
-        let non_resident = fig12::run_one(Scale::Tiny, Scale::Tiny.llc_sweep()[0]);
+        let resident = run(Harness::shared(), Scale::Tiny);
+        let non_resident =
+            fig12::run_one(Harness::shared(), Scale::Tiny, Scale::Tiny.llc_sweep()[0]);
         let res = resident.value("1P2L", "sobel").expect("sobel series");
         let non = non_resident.value("1P2L", "sobel").expect("sobel series");
         assert!(res > non, "sobel resident {res} should benefit less than non-resident {non}");

@@ -8,7 +8,7 @@
 
 use crate::experiments::{against_baseline, normalized, FigureTable};
 use crate::fig11::PLOTTED;
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 
 /// Both panels of the figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,9 +20,10 @@ pub struct Fig14 {
 }
 
 /// Runs both panels.
-pub fn run(scale: Scale) -> Fig14 {
+pub fn run(harness: &Harness, scale: Scale) -> Fig14 {
     let n = scale.input();
     let [llc_accesses, memory_bytes] = normalized(
+        harness,
         "fig14",
         n,
         &against_baseline(&PLOTTED, |kind| scale.system(kind)),
@@ -44,7 +45,7 @@ mod tests {
 
     #[test]
     fn traffic_collapses_under_mda_caching() {
-        let f = run(Scale::Tiny);
+        let f = run(Harness::shared(), Scale::Tiny);
         for design in ["1P2L", "1P2L_SameSet", "2P2L"] {
             let acc = f.llc_accesses.average(design).expect("series");
             let bytes = f.memory_bytes.average(design).expect("series");

@@ -8,8 +8,8 @@
 //! when the trailing row-oriented pass takes over.
 
 use crate::experiments::run_kernel;
-use crate::scale::Scale;
 use crate::table::TextTable;
+use crate::{Harness, Scale};
 use mda_sim::{HierarchyKind, OccupancyTimeline};
 use mda_workloads::Kernel;
 
@@ -28,9 +28,9 @@ pub struct KernelTimeline {
 pub const PLOTTED: [Kernel; 2] = [Kernel::Sgemm, Kernel::Ssyrk];
 
 /// Runs the occupancy study on the 1P2L hierarchy.
-pub fn run(scale: Scale) -> Vec<KernelTimeline> {
+pub fn run(harness: &Harness, scale: Scale) -> Vec<KernelTimeline> {
     let n = scale.input();
-    crate::parallel::par_map(&PLOTTED, |k| {
+    harness.par_map(&PLOTTED, |k| {
         let cfg = scale
             .system(HierarchyKind::P1L2DifferentSet)
             .with_occupancy_sampling(sample_interval(scale));
@@ -48,9 +48,9 @@ fn sample_interval(scale: Scale) -> u64 {
 }
 
 /// Renders the timelines, downsampled to at most `points` rows each.
-fn render_with_points(scale: Scale, points: usize) -> String {
+fn render_with_points(harness: &Harness, scale: Scale, points: usize) -> String {
     let mut out = String::from("Fig. 15 — column-line occupancy over time (1P2L)\n");
-    for kt in run(scale) {
+    for kt in run(harness, scale) {
         let samples = kt.timeline.samples();
         let stride = (samples.len() / points.max(1)).max(1);
         let mut t = TextTable::new(vec![
@@ -92,8 +92,8 @@ fn render_with_points(scale: Scale, points: usize) -> String {
 }
 
 /// Renders with the default resolution.
-pub fn render(scale: Scale) -> String {
-    render_with_points(scale, 24)
+pub fn render(harness: &Harness, scale: Scale) -> String {
+    render_with_points(harness, scale, 24)
 }
 
 #[cfg(test)]
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn both_kernels_produce_timelines_with_column_residency() {
-        let tls = run(Scale::Tiny);
+        let tls = run(Harness::shared(), Scale::Tiny);
         assert_eq!(tls.len(), 2);
         for kt in &tls {
             assert!(!kt.timeline.is_empty(), "{} produced no samples", kt.kernel);
@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn ssyrk_occupancy_rises_then_falls() {
         // The paper's qualitative claim about phase behaviour.
-        let tls = run(Scale::Tiny);
+        let tls = run(Harness::shared(), Scale::Tiny);
         let ssyrk = tls.iter().find(|k| k.kernel == "ssyrk").expect("ssyrk present");
         let samples = ssyrk.timeline.samples();
         let last = samples.last().expect("non-empty").col_occupancy[0];

@@ -6,7 +6,7 @@
 //! writes (fills and writebacks) are largely off the critical path.
 
 use crate::experiments::{against_baseline, normalized, FigureTable};
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_sim::HierarchyKind;
 
 /// Extra write cycles applied in the slow-write variant (paper: 20).
@@ -14,7 +14,7 @@ pub const SLOW_WRITE_CYCLES: u64 = 20;
 
 /// Runs the asymmetry study: normalized cycles of 1P2L, 2P2L and
 /// 2P2L-Slow_Write against the baseline.
-pub fn run(scale: Scale) -> FigureTable {
+pub fn run(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let mut series =
         against_baseline(&[HierarchyKind::P1L2DifferentSet, HierarchyKind::P2L2Sparse], |kind| {
@@ -25,6 +25,7 @@ pub fn run(scale: Scale) -> FigureTable {
         scale.system(HierarchyKind::P2L2Sparse).with_llc_write_penalty(SLOW_WRITE_CYCLES),
     ));
     let [fig] = normalized(
+        harness,
         "fig16",
         n,
         &series,
@@ -42,7 +43,7 @@ mod tests {
 
     #[test]
     fn slow_writes_cost_little() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         let fast = fig.average("2P2L").expect("series");
         let slow = fig.average("2P2L-Slow_Write").expect("series");
         assert!(slow >= fast, "extra write latency cannot speed things up");

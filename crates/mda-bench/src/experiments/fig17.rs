@@ -7,13 +7,13 @@
 //! memory (yes — 1P2L on base memory beats 1P1L-fast)?
 
 use crate::experiments::{normalized, FigureTable};
-use crate::scale::Scale;
+use crate::{Harness, Scale};
 use mda_sim::{HierarchyKind, SystemConfig};
 
 /// Runs the study. Every series is normalized to the *base-speed* 1P1L
 /// baseline, so `1P1L-fast` itself appears as a series too, exactly like
 /// the paper's plot.
-pub fn run(scale: Scale) -> FigureTable {
+pub fn run(harness: &Harness, scale: Scale) -> FigureTable {
     let n = scale.input();
     let variants: Vec<(String, SystemConfig)> = [
         HierarchyKind::Baseline1P1L,
@@ -32,6 +32,7 @@ pub fn run(scale: Scale) -> FigureTable {
     // The base-speed 1P1L run is the first variant: it supplies the
     // normalizer and is not plotted (all 1.0).
     let [fig] = normalized(
+        harness,
         "fig17",
         n,
         &variants,
@@ -48,7 +49,7 @@ mod tests {
 
     #[test]
     fn trends_hold_with_faster_memory() {
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         let base_fast = fig.average("1P1L-fast").expect("series");
         let mda_fast = fig.average("1P2L-fast").expect("series");
         assert!(mda_fast < base_fast, "1P2L-fast should beat 1P1L-fast");
@@ -58,7 +59,7 @@ mod tests {
     fn slower_mda_memory_still_competitive_with_fast_conventional() {
         // The paper's strongest claim: 1P2L on the base-speed memory
         // outperforms the baseline on the 1.6× faster memory.
-        let fig = run(Scale::Tiny);
+        let fig = run(Harness::shared(), Scale::Tiny);
         let mda_base = fig.average("1P2L").expect("series");
         let base_fast = fig.average("1P1L-fast").expect("series");
         assert!(

@@ -15,54 +15,53 @@ pub mod fig16;
 pub mod fig17;
 pub mod table1;
 
-use crate::parallel::{run_cells, Cell, CellResult};
+use crate::parallel::{Cell, CellResult, Harness};
 use crate::scale::Scale;
 use crate::table::{fmt_ratio, TextTable};
 use mda_sim::{simulate, HierarchyKind, SimReport, SystemConfig};
 use mda_workloads::Kernel;
 
 /// An experiment: its name on the `figures` command line and the function
-/// that runs it once.
-pub type Experiment = (&'static str, fn(Scale) -> Output);
+/// that runs it once on a harness.
+pub type Experiment = (&'static str, fn(&Harness, Scale) -> Output);
 
 /// Every experiment, in `figures all` order. This table is the only place
 /// that maps an experiment name to its code.
 pub const ALL: [Experiment; 14] = [
-    ("table1", |s| Output::text(table1::render(s))),
-    ("fig10", |s| Output::text(fig10::render(s))),
-    ("fig11", |s| {
-        let f = fig11::run(s);
+    ("table1", |_, s| Output::text(table1::render(s))),
+    ("fig10", |h, s| Output::text(fig10::render(h, s))),
+    ("fig11", |h, s| {
+        let f = fig11::run(h, s);
         Output::panels([("fig11_hit_rate", f.hit_rate), ("fig11_fills", f.fills)])
     }),
-    ("fig12", |s| {
-        Output::panels(
-            fig12::run(s).into_iter().map(|(llc, fig)| (format!("fig12_llc_{}k", llc / 1024), fig)),
-        )
+    ("fig12", |h, s| {
+        let panels = fig12::run(h, s).into_iter();
+        Output::panels(panels.map(|(llc, fig)| (format!("fig12_llc_{}k", llc / 1024), fig)))
     }),
-    ("fig13", |s| Output::panels([("fig13", fig13::run(s))])),
-    ("fig14", |s| {
-        let f = fig14::run(s);
+    ("fig13", |h, s| Output::panels([("fig13", fig13::run(h, s))])),
+    ("fig14", |h, s| {
+        let f = fig14::run(h, s);
         Output::panels([
             ("fig14_llc_accesses", f.llc_accesses),
             ("fig14_memory_bytes", f.memory_bytes),
         ])
     }),
-    ("fig15", |s| Output::text(fig15::render(s))),
-    ("fig16", |s| Output::panels([("fig16", fig16::run(s))])),
-    ("fig17", |s| Output::panels([("fig17", fig17::run(s))])),
-    ("ablation", |s| {
+    ("fig15", |h, s| Output::text(fig15::render(h, s))),
+    ("fig16", |h, s| Output::panels([("fig16", fig16::run(h, s))])),
+    ("fig17", |h, s| Output::panels([("fig17", fig17::run(h, s))])),
+    ("ablation", |h, s| {
         Output::panels([
-            ("ablation_layout", ablation::layout_mismatch(s)),
-            ("ablation_dense", ablation::dense_fill(s)),
-            ("ablation_subrow", ablation::sub_row_buffers(s)),
-            ("ablation_2p1l", ablation::taxonomy_2p1l(s)),
+            ("ablation_layout", ablation::layout_mismatch(h, s)),
+            ("ablation_dense", ablation::dense_fill(h, s)),
+            ("ablation_subrow", ablation::sub_row_buffers(h, s)),
+            ("ablation_2p1l", ablation::taxonomy_2p1l(h, s)),
         ])
     }),
-    ("ext_tiling", |s| Output::panels([("ext_tiling", ext_tiling::run(s))])),
-    ("ext_multicore", |s| Output::panels([("ext_multicore", ext_multicore::run(s))])),
-    ("ext_energy", |s| Output::panels([("ext_energy", ext_energy::run(s))])),
-    ("ext_reliability", |s| {
-        let f = ext_reliability::run(s);
+    ("ext_tiling", |h, s| Output::panels([("ext_tiling", ext_tiling::run(h, s))])),
+    ("ext_multicore", |h, s| Output::panels([("ext_multicore", ext_multicore::run(h, s))])),
+    ("ext_energy", |h, s| Output::panels([("ext_energy", ext_energy::run(h, s))])),
+    ("ext_reliability", |h, s| {
+        let f = ext_reliability::run(h, s);
         Output::panels([
             ("ext_reliability_cycles", f.cycles),
             ("ext_reliability_retries", f.retries),
@@ -243,7 +242,7 @@ fn against_baseline(
 
 /// The kernel × design grid behind every normalized figure: simulates each
 /// kernel at input size `n` on every `(label, config)` of `series` through
-/// [`run_cells`], and returns one table per panel in which each series
+/// [`Harness::run_cells`], and returns one table per panel in which each series
 /// after the first is its panel metric divided, kernel by kernel, by the
 /// first series' (the normalizer is never plotted).
 ///
@@ -255,6 +254,7 @@ fn against_baseline(
 /// # Panics
 /// Panics if `series` is empty.
 fn normalized<const P: usize>(
+    harness: &Harness,
     figure: &str,
     n: u64,
     series: &[(String, SystemConfig)],
@@ -267,7 +267,7 @@ fn normalized<const P: usize>(
             kernels.map(|k| Cell::new(format!("{figure}/{label}/{}", k.name()), k, n, cfg.clone()))
         })
         .collect();
-    let outcomes = run_cells(&cells);
+    let outcomes = harness.run_cells(&cells);
     let (base, plotted) = outcomes.split_at(kernels.len());
     panels.map(|(title, metric)| {
         let bases = metric_series(base, metric);
@@ -370,14 +370,17 @@ mod tests {
         [("base".to_string(), good.clone()), ("bad".to_string(), bad), ("good".to_string(), good)]
     }
 
+    /// The cycles of `series` at input size 24, normalized to its first
+    /// series.
+    fn normalized_cycles(series: &[(String, SystemConfig)]) -> FigureTable {
+        let panel: Panel = ("t".to_string(), |r| r.cycles as f64);
+        let [fig] = normalized(Harness::shared(), "normalized_test", 24, series, [panel]);
+        fig
+    }
+
     #[test]
     fn normalized_skips_the_first_series_and_degrades_only_the_invalid_one() {
-        let [fig] = normalized(
-            "normalized_test",
-            24,
-            &base_bad_good(),
-            [("t".to_string(), |r| r.cycles as f64)],
-        );
+        let fig = normalized_cycles(&base_bad_good());
         assert_eq!(fig.kernels.len(), Kernel::all().len());
         let names: Vec<&str> = fig.series.iter().map(|(d, _)| d.as_str()).collect();
         assert_eq!(names, ["bad", "good"], "the normalizer is never plotted");
@@ -392,12 +395,7 @@ mod tests {
     #[test]
     fn normalized_against_an_invalid_normalizer_is_all_nan() {
         let [base, bad, good] = base_bad_good();
-        let [fig] = normalized(
-            "normalized_test",
-            24,
-            &[bad, base, good],
-            [("t".to_string(), |r| r.cycles as f64)],
-        );
+        let fig = normalized_cycles(&[bad, base, good]);
         assert_eq!(fig.series.len(), 2);
         assert!(
             fig.series.iter().all(|(_, vals)| vals.iter().all(|v| v.is_nan())),

@@ -2,115 +2,130 @@
 //!
 //! Every `(experiment × kernel × design × config-point)` cell of the
 //! evaluation is an independent, deterministic simulation, so the whole
-//! harness scales with cores. This module provides the fan-out layer the
-//! experiments submit their cells through:
+//! harness scales with cores. A [`Harness`] is the state of one run of the
+//! harness: its worker count, the `MDA_PANIC_CELL` drill, the memo of
+//! simulated cells and the cell counters. The experiments submit their
+//! cells through its two methods:
 //!
-//! * [`par_map`] — run a closure over a slice on a scoped worker pool
-//!   (plain `std::thread::scope`; no external crates) and reassemble the
-//!   results **in input order**, so every table and CSV downstream is
+//! * [`Harness::par_map`] — run a closure over a slice on a scoped worker
+//!   pool (plain `std::thread::scope`; no external crates) and reassemble
+//!   the results **in input order**, so every table and CSV downstream is
 //!   byte-identical to a sequential run. Each cell runs under
 //!   `catch_unwind`: a panicking cell is retried once, and a cell that
 //!   fails twice aborts the map (`par_map`'s infallible contract) or
-//!   becomes a [`CellFailure`] ([`run_cells`]) — it never poisons the pool
-//!   or takes the other cells down with it.
-//! * [`Cell`]/[`run_cells`] — the labeled `(kernel, input, system)` unit
-//!   the figure experiments and the `sweep` binary fan out. `run_cells`
-//!   simulates each distinct cell once per process: a process-wide memo
-//!   holds the report of every cell it has simulated (see [`run_cells`]),
-//!   and [`clear_memo`] empties it. Failures come back as labeled
+//!   becomes a [`CellFailure`] ([`Harness::run_cells`]) — it never poisons
+//!   the pool or takes the other cells down with it.
+//! * [`Cell`]/[`Harness::run_cells`] — the labeled `(kernel, input,
+//!   system)` unit the figure experiments and the `sweep` binary fan out.
+//!   `run_cells` simulates each distinct cell once per harness (a fresh
+//!   harness has an empty memo). Failures come back as labeled
 //!   [`CellFailure`]s so experiments render them as degraded cells
 //!   instead of crashing.
-//! * [`jobs`]/[`set_jobs`] — worker-count resolution: an explicit
-//!   [`set_jobs`] override (the `--jobs` CLI flag) beats the `MDA_JOBS`
-//!   environment variable, which beats
-//!   [`std::thread::available_parallelism`]. One job reproduces the
-//!   sequential harness exactly (no worker threads are spawned at all).
-//! * [`take_cell_count`]/[`take_simulated_count`] — process-wide counters
-//!   of submitted and of actually simulated cells, read by the `figures`
-//!   binary's `--bench-timings` mode.
+//!
+//! The binaries build one harness with [`Harness::from_env`]; tests build
+//! theirs with [`Harness::new`]. One job reproduces the sequential harness
+//! exactly (no worker threads are spawned at all).
 
 use crate::experiments::run_kernel;
 use mda_sim::{FaultConfig, SimReport, SystemConfig};
 use mda_workloads::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, OnceLock};
+use std::sync::Mutex;
 
-/// Explicit worker-count override; 0 means "not set".
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Cells submitted since the last [`take_cell_count`].
-static CELLS: AtomicU64 = AtomicU64::new(0);
-
-/// Cells actually simulated since the last [`take_simulated_count`].
-static SIMULATED: AtomicU64 = AtomicU64::new(0);
-
-/// The `Ok` report of every distinct cell [`run_cells`] has simulated in
-/// this process. At most a few hundred entries, so a linear scan suffices
-/// (and `SystemConfig` cannot be hashed: its fault rates are `f64`).
-static MEMO: Mutex<Vec<(CellKey, SimReport)>> = Mutex::new(Vec::new());
-
-/// Sets the worker count explicitly (the `--jobs N` CLI flag). Passing 0
-/// clears the override.
-pub fn set_jobs(n: usize) {
-    JOBS_OVERRIDE.store(n, Ordering::SeqCst);
+/// The state of one harness run: worker count, panic drill, memo of
+/// simulated cells and cell counters.
+#[derive(Debug)]
+pub struct Harness {
+    /// Worker threads per map (`jobs` in `BENCH_harness.json`); 0 or 1
+    /// runs every map inline.
+    pub jobs: usize,
+    /// Cells whose label contains this string panic (`MDA_PANIC_CELL`).
+    panic_cell: Option<String>,
+    /// The `Ok` report of every distinct cell [`Harness::run_cells`] has
+    /// simulated. At most a few hundred entries, so a linear scan suffices
+    /// (and `SystemConfig` cannot be hashed: its fault rates are `f64`).
+    /// A poisoned lock is recovered: every update is one `push`, so the
+    /// list is valid at every step.
+    memo: Mutex<Vec<(CellKey, SimReport)>>,
+    /// Cells submitted since the last [`Harness::take_counts`].
+    cells: AtomicU64,
+    /// Cells actually simulated since the last [`Harness::take_counts`].
+    simulated: AtomicU64,
 }
 
-/// The worker count used by [`par_map`]: the [`set_jobs`] override if set,
-/// else a positive integer `MDA_JOBS` environment variable, else
-/// [`std::thread::available_parallelism`]. A malformed or non-positive
-/// `MDA_JOBS` is ignored with a one-time warning on stderr.
-pub fn jobs() -> usize {
-    let explicit = JOBS_OVERRIDE.load(Ordering::SeqCst);
-    if explicit > 0 {
-        return explicit;
+impl Harness {
+    /// A harness with `jobs` workers that drills every cell whose label
+    /// contains `panic_cell`. Reads no environment.
+    pub fn new(jobs: usize, panic_cell: Option<String>) -> Harness {
+        Harness { jobs, panic_cell, memo: Mutex::default(), cells: 0.into(), simulated: 0.into() }
     }
-    if let Ok(v) = std::env::var("MDA_JOBS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => {
-                static WARNED: Once = Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
+
+    /// The harness of a binary run. The worker count is `jobs_flag` (the
+    /// `--jobs N` CLI flag) if given, else a positive integer `MDA_JOBS`
+    /// environment variable, else [`std::thread::available_parallelism`];
+    /// a malformed or non-positive `MDA_JOBS` is ignored with a warning on
+    /// stderr. A non-empty `MDA_PANIC_CELL` sets the drill (used by
+    /// `scripts/verify.sh` to exercise the degraded-cell path end to end).
+    pub fn from_env(jobs_flag: Option<usize>) -> Harness {
+        let jobs = jobs_flag.unwrap_or_else(|| {
+            if let Ok(v) = std::env::var("MDA_JOBS") {
+                match v.trim().parse::<usize>() {
+                    Ok(n) if n > 0 => return n,
+                    _ => eprintln!(
                         "warning: ignoring MDA_JOBS='{v}' (expected a positive integer); \
                          falling back to available parallelism"
-                    );
-                });
+                    ),
+                }
             }
-        }
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        });
+        let panic_cell = std::env::var("MDA_PANIC_CELL").ok().filter(|s| !s.is_empty());
+        Harness::new(jobs, panic_cell)
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+
+    /// The cells `(submitted, simulated)` since the previous call,
+    /// resetting both counters (`figures --bench-timings` reports them).
+    /// Every item of a map and every cell passed to [`Harness::run_cells`]
+    /// is submitted; memo hits and duplicates are not simulated.
+    pub fn take_counts(&self) -> (u64, u64) {
+        (self.cells.swap(0, Ordering::SeqCst), self.simulated.swap(0, Ordering::SeqCst))
+    }
+
+    /// Maps `f` over `items` on [`Harness::jobs`] workers, returning
+    /// results in input order. Every item counts as submitted and
+    /// simulated.
+    ///
+    /// # Panics
+    /// Panics if a cell panics twice in a row (once plus the automatic
+    /// retry).
+    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        self.count(items.len(), items.len());
+        pool_map(items, self.jobs, f)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|msg| panic!("parallel cell failed after retry: {msg}")))
+            .collect()
+    }
+
+    /// Counts `submitted` cells, of which `simulated` run.
+    fn count(&self, submitted: usize, simulated: usize) {
+        self.cells.fetch_add(submitted as u64, Ordering::SeqCst);
+        self.simulated.fetch_add(simulated as u64, Ordering::SeqCst);
+    }
 }
 
-/// Returns the number of cells submitted since the previous call,
-/// resetting the counter. Every item of a map and every cell passed to
-/// [`run_cells`] counts, whether or not it was simulated.
-pub fn take_cell_count() -> u64 {
-    CELLS.swap(0, Ordering::SeqCst)
-}
-
-/// Returns the number of cells actually simulated since the previous call,
-/// resetting the counter: submitted cells minus memo hits and duplicates.
-pub fn take_simulated_count() -> u64 {
-    SIMULATED.swap(0, Ordering::SeqCst)
-}
-
-/// Empties the [`run_cells`] memo, so the next run of an experiment
-/// simulates every one of its distinct cells again.
-pub fn clear_memo() {
-    memo().clear();
-}
-
-/// Locks the memo. A poisoned lock is recovered: every update is one
-/// `push` or `clear`, so the list is valid at every step.
-fn memo() -> MutexGuard<'static, Vec<(CellKey, SimReport)>> {
-    MEMO.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Counts `submitted` cells, of which `simulated` run.
-fn count(submitted: usize, simulated: usize) {
-    CELLS.fetch_add(submitted as u64, Ordering::SeqCst);
-    SIMULATED.fetch_add(simulated as u64, Ordering::SeqCst);
+#[cfg(test)]
+impl Harness {
+    /// The harness that every value-checking unit test shares (one memo).
+    pub(crate) fn shared() -> &'static Harness {
+        static SHARED: std::sync::OnceLock<Harness> = std::sync::OnceLock::new();
+        SHARED.get_or_init(|| Harness::new(2, None))
+    }
 }
 
 /// Best-effort rendering of a caught panic payload.
@@ -122,24 +137,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Maps `f` over `items` on [`jobs`] workers, returning results in input
-/// order. Every item counts as submitted and simulated.
-///
-/// # Panics
-/// Panics if a cell panics twice in a row (once plus the automatic retry).
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    count(items.len(), items.len());
-    pool_map(items, jobs(), f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("parallel cell failed after retry: {msg}")))
-        .collect()
 }
 
 /// The distinct values of `items` in first-seen order, and for each item
@@ -258,21 +255,6 @@ impl std::fmt::Display for CellFailure {
 /// The outcome of one harness cell: a report, or a labeled failure.
 pub type CellResult = Result<SimReport, CellFailure>;
 
-/// Deliberate-failure hook for exercising the degraded-cell path end to
-/// end (used by `scripts/verify.sh`): when the `MDA_PANIC_CELL`
-/// environment variable is set, any cell whose label contains its value
-/// panics. Read once per process so the harness stays deterministic.
-fn deliberate_panic_check(label: &str) {
-    static PANIC_CELL: OnceLock<Option<String>> = OnceLock::new();
-    let target =
-        PANIC_CELL.get_or_init(|| std::env::var("MDA_PANIC_CELL").ok().filter(|s| !s.is_empty()));
-    if let Some(t) = target {
-        if label.contains(t.as_str()) {
-            panic!("deliberate MDA_PANIC_CELL failure in '{label}'");
-        }
-    }
-}
-
 /// What a cell's report depends on: its kernel, input size and system.
 /// Simulation is deterministic, so equal keys give equal reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,60 +280,73 @@ impl CellKey {
     }
 }
 
-/// Simulates every cell, returning per-cell outcomes in cell order. A cell
-/// that panics (twice, after the automatic retry) comes back as a labeled
-/// [`CellFailure`] with the other cells' reports intact.
-///
-/// Each distinct cell is simulated once per process:
-/// 1. every label first goes through the `MDA_PANIC_CELL` drill, so a
-///    drilled cell fails whether or not its report is known;
-/// 2. the remaining cells are reduced to their distinct keys: kernel,
-///    input size and system, with an all-zero fault model canonicalized;
-/// 3. keys already in the process-wide memo take the memoized report;
-/// 4. only the other keys are simulated, on the worker pool;
-/// 5. their `Ok` reports join the memo (a degraded cell is never
-///    memoized, so a later batch simulates it again).
-///
-/// [`run_kernel`] itself stays un-memoized.
-pub fn run_cells(cells: &[Cell]) -> Vec<CellResult> {
-    let drilled: Vec<Result<(), String>> =
-        cells.iter().map(|c| attempt(|| deliberate_panic_check(&c.label))).collect();
-    let (keys, slots) =
-        dedup(cells.iter().zip(&drilled).filter(|(_, d)| d.is_ok()).map(|(c, _)| CellKey::of(c)));
-    let cached: Vec<Option<SimReport>> = {
-        let memo = memo();
-        keys.iter().map(|k| memo.iter().find(|(m, _)| m == k).map(|(_, r)| r.clone())).collect()
-    };
-    let misses: Vec<&CellKey> =
-        keys.iter().zip(&cached).filter(|(_, r)| r.is_none()).map(|(k, _)| k).collect();
-    count(cells.len(), misses.len());
-    let mut fresh = pool_map(&misses, jobs(), |k| run_kernel(k.kernel, k.n, &k.config)).into_iter();
-    let reports: Vec<Result<SimReport, String>> = cached
-        .into_iter()
-        .map(|hit| hit.map_or_else(|| fresh.next().expect("one outcome per miss"), Ok))
-        .collect();
-    {
-        let mut memo = memo();
-        for (key, report) in keys.into_iter().zip(&reports) {
-            if let Ok(r) = report {
-                if !memo.iter().any(|(m, _)| *m == key) {
-                    memo.push((key, r.clone()));
+impl Harness {
+    /// Simulates every cell, returning per-cell outcomes in cell order. A
+    /// cell that panics (twice, after the automatic retry) comes back as a
+    /// labeled [`CellFailure`] with the other cells' reports intact.
+    ///
+    /// Each distinct cell is simulated once per harness:
+    /// 1. every label first goes through the `MDA_PANIC_CELL` drill, so a
+    ///    drilled cell fails whether or not its report is known;
+    /// 2. the remaining cells are reduced to their distinct keys: kernel,
+    ///    input size and system, with an all-zero fault model
+    ///    canonicalized;
+    /// 3. keys already in the harness memo take the memoized report;
+    /// 4. only the other keys are simulated, on the worker pool;
+    /// 5. their `Ok` reports join the memo (a degraded cell is never
+    ///    memoized, so a later batch simulates it again).
+    ///
+    /// [`run_kernel`] itself stays un-memoized.
+    pub fn run_cells(&self, cells: &[Cell]) -> Vec<CellResult> {
+        let drilled: Vec<Result<(), String>> =
+            cells.iter().map(|c| attempt(|| self.drill(&c.label))).collect();
+        let (keys, slots) = dedup(
+            cells.iter().zip(&drilled).filter(|(_, d)| d.is_ok()).map(|(c, _)| CellKey::of(c)),
+        );
+        let cached: Vec<Option<SimReport>> = {
+            let memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+            keys.iter().map(|k| memo.iter().find(|(m, _)| m == k).map(|(_, r)| r.clone())).collect()
+        };
+        let misses: Vec<&CellKey> =
+            keys.iter().zip(&cached).filter(|(_, r)| r.is_none()).map(|(k, _)| k).collect();
+        self.count(cells.len(), misses.len());
+        let mut fresh =
+            pool_map(&misses, self.jobs, |k| run_kernel(k.kernel, k.n, &k.config)).into_iter();
+        let reports: Vec<Result<SimReport, String>> = cached
+            .into_iter()
+            .map(|hit| hit.map_or_else(|| fresh.next().expect("one outcome per miss"), Ok))
+            .collect();
+        {
+            let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
+            for (key, report) in keys.into_iter().zip(&reports) {
+                if let Ok(r) = report {
+                    if !memo.iter().any(|(m, _)| *m == key) {
+                        memo.push((key, r.clone()));
+                    }
                 }
             }
         }
-    }
-    let mut slots = slots.into_iter();
-    cells
-        .iter()
-        .zip(drilled)
-        .map(|(c, d)| {
-            d.and_then(|()| {
-                let slot = slots.next().expect("one slot per undrilled cell");
-                reports[slot].clone()
+        let mut slots = slots.into_iter();
+        cells
+            .iter()
+            .zip(drilled)
+            .map(|(c, d)| {
+                d.and_then(|()| {
+                    let slot = slots.next().expect("one slot per undrilled cell");
+                    reports[slot].clone()
+                })
+                .map_err(|message| CellFailure { label: c.label.clone(), message })
             })
-            .map_err(|message| CellFailure { label: c.label.clone(), message })
-        })
-        .collect()
+            .collect()
+    }
+
+    /// The `MDA_PANIC_CELL` drill: panics if `label` contains the drilled
+    /// string.
+    fn drill(&self, label: &str) {
+        if self.panic_cell.as_ref().is_some_and(|t| label.contains(t.as_str())) {
+            panic!("deliberate MDA_PANIC_CELL failure in '{label}'");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -381,8 +376,8 @@ mod tests {
     }
 
     /// Every kernel's cell reproduces the inline sequential result, in
-    /// input order, on a 1-worker and a 4-worker pool and through
-    /// [`run_cells`].
+    /// input order, on a 1-worker and a 4-worker pool, both directly and
+    /// through [`Harness::run_cells`].
     #[test]
     fn run_cells_matches_sequential_run_kernel() {
         let cfg = SystemConfig::tiny(HierarchyKind::P2L2Sparse);
@@ -392,23 +387,22 @@ mod tests {
         for (cell, report) in cells.iter().zip(&sequential) {
             assert_eq!(report.workload, cell.label, "results out of input order");
         }
+        let expected: Vec<Option<SimReport>> = sequential.into_iter().map(Some).collect();
         for workers in [1, 4] {
             let pooled = pool_map(&cells, workers, |c| run_kernel(c.kernel, c.n, &c.config));
-            let pooled: Vec<SimReport> = pooled.into_iter().map(|r| r.expect("cell ran")).collect();
-            assert_eq!(pooled, sequential, "{workers} workers diverged");
+            let via_cells = Harness::new(workers, None).run_cells(&cells);
+            assert_eq!(pooled.into_iter().map(Result::ok).collect::<Vec<_>>(), expected);
+            assert_eq!(via_cells.into_iter().map(Result::ok).collect::<Vec<_>>(), expected);
         }
-        let cells_out: Vec<SimReport> =
-            run_cells(&cells).into_iter().map(|r| r.expect("cell ran")).collect();
-        assert_eq!(cells_out, sequential, "run_cells diverged");
     }
 
     #[test]
     fn cell_counter_accumulates_and_resets() {
-        take_cell_count();
-        par_map(&[1, 2, 3], |x| *x);
-        par_map(&[1, 2], |x| *x);
-        assert_eq!(take_cell_count(), 5);
-        assert_eq!(take_cell_count(), 0);
+        let harness = Harness::new(2, None);
+        harness.par_map(&[1, 2, 3], |x| *x);
+        harness.par_map(&[1, 2], |x| *x);
+        assert_eq!(harness.take_counts(), (5, 5));
+        assert_eq!(harness.take_counts(), (0, 0));
     }
 
     #[test]
@@ -444,7 +438,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "parallel cell failed after retry")]
     fn par_map_still_aborts_on_persistent_failure() {
-        let _ = par_map(&[1u32], |_| -> u32 { panic!("always broken") });
+        let _ = Harness::new(1, None).par_map(&[1u32], |_| -> u32 { panic!("always broken") });
     }
 
     #[test]
@@ -460,7 +454,7 @@ mod tests {
             Cell::new("broken/middle", Kernel::Sgemm, 16, bad),
             Cell::new("ok/right", Kernel::Sgemm, 16, good),
         ];
-        let out = run_cells(&cells);
+        let out = Harness::shared().run_cells(&cells);
         assert!(out[0].is_ok());
         assert!(out[2].is_ok());
         let fail = out[1].as_ref().expect_err("invalid config must degrade");

@@ -20,13 +20,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         InlineVec { buf: [T::default(); N], len: 0 }
     }
 
-    /// A vector holding exactly `value`.
-    pub fn of(value: T) -> InlineVec<T, N> {
-        let mut v = InlineVec::new();
-        v.push(value);
-        v
-    }
-
     /// Appends `value`.
     ///
     /// # Panics
@@ -109,12 +102,6 @@ mod tests {
         assert_eq!(v, vec![7, 9]);
         v.clear();
         assert!(v.is_empty());
-    }
-
-    #[test]
-    fn of_builds_a_singleton() {
-        let v: InlineVec<u32, 8> = InlineVec::of(3);
-        assert_eq!(v.as_slice(), &[3]);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl StridePrefetcher {
         }
         PrefetchTargets { line, stride: entry.stride, k: 1, degree: self.degree as i64 }
     }
-
-    /// Clears all training state.
-    pub fn reset(&mut self) {
-        self.table.fill(None);
-    }
 }
 
 #[cfg(test)]
@@ -206,15 +201,5 @@ mod tests {
         assert!(p.observe(1, 3 * LINE_BYTES).next().is_none());
         assert!(p.observe(1, 4 * LINE_BYTES).next().is_none());
         assert!(p.observe(1, 5 * LINE_BYTES).next().is_some());
-    }
-
-    #[test]
-    fn reset_clears_training() {
-        let mut p = StridePrefetcher::new(1);
-        for i in 0..3 {
-            p.observe(1, i * LINE_BYTES);
-        }
-        p.reset();
-        assert!(p.observe(1, 3 * LINE_BYTES).next().is_none(), "cold after reset");
     }
 }

@@ -27,8 +27,8 @@
 #  12. degraded-cell drill: a deliberately panicking cell (MDA_PANIC_CELL)
 #      must come back as "degraded" while the rest of the figure survives
 #      and the process exits zero
-#  13. a malformed MDA_JOBS must produce a warning instead of being
-#      silently ignored
+#  13. a malformed MDA_JOBS must produce a warning at start-up instead of
+#      being silently ignored, even for an experiment that runs no cells
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,9 +120,9 @@ grep -vE "degraded|Average" "$TMP/panic_out.txt" | grep -qE "0\.[0-9]"
 echo "panicking cell isolated; neighbors intact; exit code 0"
 
 echo "== smoke: malformed MDA_JOBS warns instead of being ignored =="
-# fig13, not table1: the warning fires when the worker pool is consulted,
-# and table1 runs no simulation cells.
-MDA_JOBS=banana "$FIGURES" fig13 --scale tiny >/dev/null 2>"$TMP/jobs_err.txt"
+# table1 runs no simulation cells: the warning comes when the harness is
+# built at start-up, not when the worker pool is first used.
+MDA_JOBS=banana "$FIGURES" table1 --scale tiny >/dev/null 2>"$TMP/jobs_err.txt"
 grep -q "ignoring MDA_JOBS" "$TMP/jobs_err.txt"
 echo "malformed MDA_JOBS produces a warning"
 

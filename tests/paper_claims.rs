@@ -57,9 +57,10 @@ fn bigger_llc_shrinks_the_gap_on_average() {
     // Individual kernels are noisy (set-conflict edge effects, exactly as
     // the paper observes around its 2 MB point), so this pins the average.
     use mda_bench::experiments::fig12;
+    let harness = mda_bench::parallel::Harness::new(2, None);
     let sweep = Scale::Tiny.llc_sweep();
-    let small = fig12::run_one(Scale::Tiny, sweep[0]);
-    let large = fig12::run_one(Scale::Tiny, sweep[3]);
+    let small = fig12::run_one(&harness, Scale::Tiny, sweep[0]);
+    let large = fig12::run_one(&harness, Scale::Tiny, sweep[3]);
     for design in ["1P2L", "2P2L"] {
         let tight = small.average(design).expect("series");
         let roomy = large.average(design).expect("series");

@@ -2,7 +2,8 @@
 //! free when disabled, and exactly reproducible when enabled.
 
 use mda_bench::experiments::{ext_reliability, run_kernel};
-use mda_bench::{parallel, Scale};
+use mda_bench::parallel::Harness;
+use mda_bench::Scale;
 use mda_sim::{FaultConfig, HierarchyKind};
 use mda_workloads::Kernel;
 
@@ -46,22 +47,14 @@ fn zero_rates_leave_every_design_report_untouched() {
 
 /// The reliability sweep is reproducible across worker counts: a fixed
 /// fault seed with nonzero rates yields identical structured results and
-/// identical rendered tables at `--jobs 1` and `--jobs 4`.
-///
-/// Both job counts run inside one test body because [`parallel::set_jobs`]
-/// is process-global; the override is cleared before asserting. The memo
-/// of simulated cells is cleared between the runs, so the 4-worker run
-/// simulates all 12 cells instead of reusing the 1-worker reports.
+/// identical rendered tables at `--jobs 1` and `--jobs 4`. Each run has its
+/// own harness, so the 4-worker run simulates all 12 cells.
 #[test]
 fn reliability_sweep_is_identical_across_worker_counts() {
-    parallel::set_jobs(1);
-    let seq = ext_reliability::run(Scale::Tiny);
-    parallel::clear_memo();
-    parallel::take_simulated_count();
-    parallel::set_jobs(4);
-    let par = ext_reliability::run(Scale::Tiny);
-    parallel::set_jobs(0);
-    assert_eq!(parallel::take_simulated_count(), 12, "the 4-worker run reused memoized cells");
+    let seq = ext_reliability::run(&Harness::new(1, None), Scale::Tiny);
+    let four = Harness::new(4, None);
+    let par = ext_reliability::run(&four, Scale::Tiny);
+    assert_eq!(four.take_counts(), (12, 12), "the 4-worker run: submitted, simulated");
 
     assert_eq!(seq, par, "fault injection diverged across worker counts");
     assert_eq!(seq.cycles.to_csv(), par.cycles.to_csv());
