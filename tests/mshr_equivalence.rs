@@ -15,6 +15,9 @@
 //! in the filter slots must see it admit absent ones too, so collisions are
 //! exercised and shown harmless.
 
+mod common;
+
+use common::Rng;
 use mda_cache::mshr::MshrDecision;
 use mda_cache::{CacheConfig, Mshr};
 use mda_mem::{Cycle, LineKey, Orientation};
@@ -138,27 +141,6 @@ mod oracle {
         pub fn holds_completion(&self, cycle: Cycle) -> bool {
             self.entries.iter().any(|e| e.completes == cycle)
         }
-    }
-}
-
-/// SplitMix64: a small seeded generator so the sequences repeat exactly.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
     }
 }
 

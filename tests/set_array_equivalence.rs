@@ -11,6 +11,9 @@
 //! range: tile 0 row 0 (which packs to 0) and the last tile of the address
 //! space, `(1 << 55) - 1`.
 
+mod common;
+
+use common::Rng;
 use mda_cache::set_array::{Filled, PackedKey, SetArray};
 use mda_mem::{LineKey, Orientation, MAX_TILE};
 use std::fmt::Debug;
@@ -199,27 +202,6 @@ mod oracle {
         pub fn is_empty(&self) -> bool {
             self.live == 0
         }
-    }
-}
-
-/// SplitMix64: a small seeded generator so the sequences repeat exactly.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.below(items.len() as u64) as usize]
     }
 }
 
