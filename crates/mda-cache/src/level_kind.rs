@@ -1,15 +1,13 @@
 // mda-lint: hot-path
-//! Statically-dispatched sum of the three cache organizations.
+//! Statically-dispatched sum of the two cache organizations.
 //!
-//! The simulator's hierarchy used to hold `Box<dyn CacheLevel>`, paying a
-//! vtable indirection on every probe/fill/writeback of the demand path.
-//! [`LevelKind`] enumerates the three concrete organizations instead (the
-//! 2P1L taxonomy point is the rows-only mode of [`Cache2P2L`]): each
-//! trait call is a `match` that monomorphizes into direct calls the
-//! optimizer can inline. The `CacheLevel` trait itself stays object-safe
-//! for tests and tools that still want dynamic dispatch.
+//! [`LevelKind`] enumerates the two concrete arrays: [`Cache1P2L`] (whose
+//! rows-only mode is the 1P1L baseline) and [`Cache2P2L`] (whose rows-only
+//! mode is the 2P1L taxonomy point). Each trait call is a `match` that
+//! monomorphizes into direct calls the optimizer can inline. The
+//! `CacheLevel` trait itself stays object-safe for tests and tools that
+//! want dynamic dispatch.
 
-use crate::cache_1p1l::Cache1P1L;
 use crate::cache_1p2l::Cache1P2L;
 use crate::cache_2p2l::Cache2P2L;
 use crate::config::CacheConfig;
@@ -20,19 +18,12 @@ use mda_mem::LineKey;
 /// One cache level of any of the taxonomy organizations.
 #[derive(Debug, Clone)]
 pub enum LevelKind {
-    /// Conventional baseline (physically and logically 1-D).
-    L1P1L(Cache1P1L),
-    /// Logically 2-D SRAM (Different-Set or Same-Set mapping).
+    /// Physically 1-D SRAM: logically 2-D (Different-Set or Same-Set
+    /// mapping), or rows-only for the conventional 1P1L baseline.
     L1P2L(Cache1P2L),
     /// Physically 2-D (512-byte blocks): logically 2-D, or rows-only for
     /// the 2P1L taxonomy ablation.
     L2P2L(Cache2P2L),
-}
-
-impl From<Cache1P1L> for LevelKind {
-    fn from(c: Cache1P1L) -> LevelKind {
-        LevelKind::L1P1L(c)
-    }
 }
 
 impl From<Cache1P2L> for LevelKind {
@@ -51,7 +42,6 @@ impl From<Cache2P2L> for LevelKind {
 macro_rules! dispatch {
     ($self:expr, $inner:ident => $body:expr) => {
         match $self {
-            LevelKind::L1P1L($inner) => $body,
             LevelKind::L1P2L($inner) => $body,
             LevelKind::L2P2L($inner) => $body,
         }
@@ -112,7 +102,7 @@ mod tests {
         cfg.size_bytes = 4096;
         let big = CacheConfig::l3(16 * 1024);
         vec![
-            Cache1P1L::new(cfg).into(),
+            Cache1P2L::rows_only(cfg).into(),
             Cache1P2L::new(cfg, SetMapping::DifferentSet).into(),
             Cache2P2L::rows_only(big).into(),
             Cache2P2L::new(big).into(),
@@ -140,7 +130,7 @@ mod tests {
         // The trait stays object-safe: a LevelKind can itself be boxed.
         let mut cfg = CacheConfig::l1_32k();
         cfg.size_bytes = 4096;
-        let boxed: Box<dyn CacheLevel> = Box::new(LevelKind::from(Cache1P1L::new(cfg)));
+        let boxed: Box<dyn CacheLevel> = Box::new(LevelKind::from(Cache1P2L::rows_only(cfg)));
         assert_eq!(boxed.occupancy().0, 0);
     }
 }

@@ -1,9 +1,10 @@
 // mda-lint: hot-path
 //! Generic set-associative storage with true-LRU replacement.
 //!
-//! All three cache organizations share this container: `1P1L`/`1P2L` use it
-//! with [`mda_mem::LineKey`] keys and per-line metadata, `2P2L` with tile
-//! ids and per-tile presence/dirty bitmaps.
+//! Both cache organizations share this container: `1P2L` (and its
+//! rows-only 1P1L mode) uses it with [`mda_mem::LineKey`] keys and
+//! per-line metadata, `2P2L` with tile ids and per-tile presence/dirty
+//! bitmaps.
 //!
 //! The storage is **structure-of-arrays**: tag lookups scan a dense lane of
 //! packed `u64` tags ([`PackedKey`]; an empty way holds a sentinel no key

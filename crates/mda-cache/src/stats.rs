@@ -28,10 +28,10 @@ pub struct CacheStats {
     /// Lines installed by prefetch fills.
     pub prefetch_fills: u64,
     /// Dirty lines written back out of this level (evictions + policy).
-    /// `Cache1P1L` never counts them, neither on a dirty eviction in
-    /// `fill` nor in `flush`, so this is 0 at every 1P1L level (all of
-    /// 1P1L, and the L1/L2 of 2P1L) even though its `bytes_to_below` is
-    /// not.
+    /// Rows-only 1P2L levels never count them, neither on a dirty
+    /// eviction in `fill` nor in `flush`, so this is 0 at every 1P1L
+    /// level (all of 1P1L, and the L1/L2 of 2P1L) even though its
+    /// `bytes_to_below` is not.
     pub writebacks_out: u64,
     /// Lines evicted by the duplicate-word policy.
     pub dup_evictions: u64,

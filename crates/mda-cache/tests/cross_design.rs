@@ -3,7 +3,7 @@
 //! architectural contract even where their mechanisms differ.
 
 use mda_cache::level::CacheLevelExt;
-use mda_cache::{Access, Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, CacheLevel, SetMapping};
+use mda_cache::{Access, Cache1P2L, Cache2P2L, CacheConfig, CacheLevel, SetMapping};
 use mda_mem::{LineKey, Orientation, WordAddr};
 
 fn cfg(bytes: u64) -> CacheConfig {
@@ -16,7 +16,7 @@ fn all_designs() -> Vec<(&'static str, Box<dyn CacheLevel>)> {
     let mut tile_cfg = CacheConfig::l3(16 * 1024);
     tile_cfg.assoc = 8;
     vec![
-        ("1P1L", Box::new(Cache1P1L::new(cfg(8192)))),
+        ("1P1L", Box::new(Cache1P2L::rows_only(cfg(8192)))),
         ("1P2L-diff", Box::new(Cache1P2L::new(cfg(8192), SetMapping::DifferentSet))),
         ("1P2L-same", Box::new(Cache1P2L::new(cfg(8192), SetMapping::SameSet))),
         ("2P2L", Box::new(Cache2P2L::new(tile_cfg))),

@@ -388,7 +388,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use mda_cache::level::CacheLevelExt;
-    use mda_cache::{Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, SetMapping};
+    use mda_cache::{Cache1P2L, Cache2P2L, CacheConfig, SetMapping};
     use mda_mem::{MemConfig, WordAddr};
 
     fn small(cfg_bytes: u64) -> CacheConfig {
@@ -484,10 +484,10 @@ mod tests {
     fn prefetcher_reduces_demand_miss_latency() {
         // Baseline 1P1L with prefetching: a unit-stride walk should see
         // later lines arrive before the demand.
-        let l1 = Cache1P1L::new(small(4096));
+        let l1 = Cache1P2L::rows_only(small(4096));
         let mut l2cfg = CacheConfig::l2_256k();
         l2cfg.size_bytes = 16 * 1024;
-        let l2 = Cache1P1L::new(l2cfg);
+        let l2 = Cache1P2L::rows_only(l2cfg);
         let mut h = Hierarchy::multicore(
             vec![vec![l1.into()]],
             l2.into(),

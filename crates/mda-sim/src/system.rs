@@ -3,9 +3,7 @@
 
 use crate::core::CoreConfig;
 use crate::hierarchy::Hierarchy;
-use mda_cache::{
-    Cache1P1L, Cache1P2L, Cache2P2L, CacheConfig, LevelKind, SetMapping, StridePrefetcher,
-};
+use mda_cache::{Cache1P2L, Cache2P2L, CacheConfig, LevelKind, SetMapping, StridePrefetcher};
 use mda_compiler::CodegenOptions;
 use mda_mem::{ConfigError, FaultConfig, MainMemory, MemConfig};
 
@@ -228,7 +226,9 @@ impl SystemConfig {
         };
         let private_level = |cfg: &CacheConfig| -> LevelKind {
             match self.kind {
-                HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => Cache1P1L::new(*cfg).into(),
+                HierarchyKind::Baseline1P1L | HierarchyKind::P2L1 => {
+                    Cache1P2L::rows_only(*cfg).into()
+                }
                 _ => Cache1P2L::new(*cfg, mapping).into(),
             }
         };
@@ -239,7 +239,7 @@ impl SystemConfig {
 
         llc_cfg.write_penalty = self.llc_write_penalty;
         let llc = match self.kind {
-            HierarchyKind::Baseline1P1L => Cache1P1L::new(llc_cfg).into(),
+            HierarchyKind::Baseline1P1L => Cache1P2L::rows_only(llc_cfg).into(),
             HierarchyKind::P1L2DifferentSet | HierarchyKind::P1L2SameSet => {
                 Cache1P2L::new(llc_cfg, mapping).into()
             }

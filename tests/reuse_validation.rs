@@ -2,9 +2,10 @@
 //! simulated LRU cache: under fully-associative LRU, an access hits iff
 //! its reuse distance is below the line capacity, so
 //! `ReuseProfile::hit_rate_at(F)` must equal the hit rate of a simulated
-//! one-set, F-way `Cache1P1L` on the same trace — bit for bit.
+//! one-set, F-way rows-only `Cache1P2L` (the 1P1L baseline) on the same
+//! trace — bit for bit.
 
-use mdacache::cache::{Access, Cache1P1L, CacheConfig, CacheLevel, CacheLevelExt};
+use mdacache::cache::{Access, Cache1P2L, CacheConfig, CacheLevel, CacheLevelExt};
 use mdacache::compiler::reuse::{ReuseGranularity, ReuseProfile};
 use mdacache::compiler::trace::{TraceOp, TraceSource};
 use mdacache::compiler::{AffineExpr, ArrayRef, CodegenOptions, Loop, LoopNest, Program};
@@ -31,7 +32,7 @@ fn simulated_fa_hit_rate(p: &Program, frames: usize) -> f64 {
         mshrs: 1,
         write_penalty: 0,
     };
-    let mut cache = Cache1P1L::new(cfg);
+    let mut cache = Cache1P2L::rows_only(cfg);
     p.generate(&scalar_opts(), &mut |op| {
         if let TraceOp::Mem(m) = op {
             let acc = Access::scalar_read(m.word, Orientation::Row, m.stream);
