@@ -31,6 +31,7 @@
 //! ```
 
 use mda_bench::experiments::{self, Experiment};
+use mda_bench::parallel::parse_jobs;
 use mda_bench::{Harness, Scale};
 use std::time::Instant;
 
@@ -83,13 +84,10 @@ fn main() {
             }
             "--jobs" => {
                 let Some(v) = it.next() else { usage() };
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs expects a positive integer, got '{v}'");
-                        usage()
-                    }
-                }
+                jobs = Some(parse_jobs(&v).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                }));
             }
             "--bench-timings" => bench_entries = Some(Vec::new()),
             "--help" | "-h" => usage(),

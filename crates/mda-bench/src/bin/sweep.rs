@@ -30,7 +30,7 @@
 //! simulated once and `MDA_PANIC_CELL` drills sweep cells too.
 
 use mda_bench::experiments::ext_reliability;
-use mda_bench::parallel::Cell;
+use mda_bench::parallel::{parse_jobs, Cell};
 use mda_bench::{Harness, Scale};
 use mda_sim::{FaultConfig, HierarchyKind, SystemConfig};
 use mda_workloads::Kernel;
@@ -158,13 +158,10 @@ fn main() {
                 })
             }
             "--jobs" => {
-                match it.next().unwrap_or_default().parse::<usize>() {
-                    Ok(n) if n > 0 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs expects a positive integer");
-                        std::process::exit(2);
-                    }
-                };
+                jobs = Some(parse_jobs(&it.next().unwrap_or_default()).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                }));
             }
             "--write-ber" => write_ber = parse_rate("--write-ber", it.next()),
             "--read-disturb" => read_disturb = parse_rate("--read-disturb", it.next()),

@@ -33,6 +33,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Parses a worker count (`--jobs N`, `MDA_JOBS`): a positive integer,
+/// else the message both CLIs print before exiting 2.
+pub fn parse_jobs(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("--jobs expects a positive integer, got '{v}'")),
+    }
+}
+
 /// The state of one harness run: worker count, panic drill, memo of
 /// simulated cells and cell counters.
 #[derive(Debug)]
@@ -70,9 +79,9 @@ impl Harness {
     pub fn from_env(jobs_flag: Option<usize>) -> Harness {
         let jobs = jobs_flag.unwrap_or_else(|| {
             if let Ok(v) = std::env::var("MDA_JOBS") {
-                match v.trim().parse::<usize>() {
-                    Ok(n) if n > 0 => return n,
-                    _ => eprintln!(
+                match parse_jobs(v.trim()) {
+                    Ok(n) => return n,
+                    Err(_) => eprintln!(
                         "warning: ignoring MDA_JOBS='{v}' (expected a positive integer); \
                          falling back to available parallelism"
                     ),

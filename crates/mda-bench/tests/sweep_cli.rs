@@ -1,5 +1,5 @@
 //! The `sweep` binary's command line: one row per axis value, and exit 2
-//! on an unknown parameter.
+//! on a bad `--jobs` value or an unknown parameter.
 
 use std::process::{Command, Output};
 
@@ -23,6 +23,15 @@ fn window_sweep_prints_one_labelled_row_per_value() {
         "{stdout}"
     );
     assert!(!stdout.contains("degraded"), "{stdout}");
+}
+
+#[test]
+fn zero_jobs_exits_2_naming_the_value() {
+    let out = sweep(&["window", "--scale", "tiny", "--jobs", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(stderr.contains("--jobs expects a positive integer, got '0'"), "{stderr}");
 }
 
 #[test]
